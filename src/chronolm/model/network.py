@@ -29,16 +29,21 @@ _GELU_C = 0.044715
 _NEG_BIG = -1e9
 
 
+# The cube is spelled out as multiplies: numpy's float32 ``x ** 3`` goes
+# through pow and is about 100x slower than ``x * x * x``.
+
+
 def gelu(x: np.ndarray) -> np.ndarray:
-    inner = _SQRT_2_OVER_PI * (x + _GELU_C * x ** 3)
+    inner = _SQRT_2_OVER_PI * (x + _GELU_C * (x * x * x))
     return 0.5 * x * (1.0 + np.tanh(inner))
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
-    inner = _SQRT_2_OVER_PI * (x + _GELU_C * x ** 3)
+    x2 = x * x
+    inner = _SQRT_2_OVER_PI * (x + _GELU_C * (x2 * x))
     t = np.tanh(inner)
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _SQRT_2_OVER_PI * (
-        1.0 + 3.0 * _GELU_C * x ** 2
+        1.0 + 3.0 * _GELU_C * x2
     )
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from math import ceil
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -316,23 +317,6 @@ def build_pretrain_example(
     return example
 
 
-def build_tamlm_dtp(
-    doc: Document,
-    tokdoc: TokenizedDoc,
-    space: LabelSpace,
-    temporal_mask_ratio: float,
-    mask_budget: float,
-    vocab: Vocab,
-    seed: int,
-    epoch: int = 0,
-) -> PretrainExample:
-    """The joint time-aware masking plus timestamp prediction example."""
-    return build_pretrain_example(
-        doc, tokdoc, frozenset({Objective.TAMLM, Objective.DTP}), space,
-        temporal_mask_ratio, mask_budget, vocab, seed, epoch,
-    )
-
-
 @dataclass(frozen=True)
 class PoolEntry:
     surface: str
@@ -347,6 +331,38 @@ class ExpressionPool:
 
     def for_granularity(self, g: Granularity) -> tuple[PoolEntry, ...]:
         return self.entries.get(g, ())
+
+    @cached_property
+    def _positions(self) -> dict[Granularity, dict[TimePoint, list[int]]]:
+        """Granularity -> value -> ascending positions of its entries."""
+        index: dict[Granularity, dict[TimePoint, list[int]]] = {}
+        for g, entries in self.entries.items():
+            by_value = index[g] = {}
+            for i, entry in enumerate(entries):
+                by_value.setdefault(entry.value, []).append(i)
+        return index
+
+    def draw_other(
+        self, value: TimePoint, rng: np.random.Generator,
+    ) -> Optional[PoolEntry]:
+        """A uniform pick among same-granularity entries whose value differs.
+
+        Makes the same single ``rng.integers(n)`` draw as indexing the list
+        of those n candidates, in pool order; with no candidate it draws
+        nothing and returns None.
+        """
+        g = value.granularity
+        entries = self.for_granularity(g)
+        same = self._positions.get(g, {}).get(value, ())
+        n = len(entries) - len(same)
+        if n == 0:
+            return None
+        k = int(rng.integers(n))
+        for at in same:
+            if at > k:
+                break
+            k += 1
+        return entries[k]
 
 
 def collect_expression_pool(
@@ -452,12 +468,8 @@ def build_tir(
         label = TIR_KEPT
         tokens = original
         if rng.random() < replace_prob:
-            candidates = [
-                entry for entry in pool.for_granularity(group.normalized.granularity)
-                if entry.value != group.normalized
-            ]
-            if candidates:
-                pick = candidates[int(rng.integers(len(candidates)))]
+            pick = pool.draw_other(group.normalized, rng)
+            if pick is not None:
                 tokens = _surface_ids(pick.surface, vocab, lowercase)
                 label = TIR_REPLACED
             else:

@@ -3,9 +3,12 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import chronolm
 from chronolm.cli import main
 from chronolm.objectives import build_labelspace
 from chronolm.synth import synth_corpus
@@ -230,6 +233,17 @@ def test_missing_input_is_reported(tmp_path, capsys):
              "--out", tmp_path / "out.jsonl")
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = os.path.dirname(os.path.dirname(chronolm.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chronolm", "tag",
+         "--corpus", str(tmp_path / "absent.jsonl"), "--out", str(tmp_path / "out.jsonl")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
 
 
 def test_malformed_corpus_names_line(tmp_path, capsys):

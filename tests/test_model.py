@@ -40,7 +40,13 @@ from chronolm.model import (
     LabeledExample,
 )
 from chronolm.model.gradcheck import TINY_CONFIG
-from chronolm.model.network import encoder_forward, softmax
+from chronolm.model.network import (
+    encoder_backward,
+    encoder_forward,
+    gelu,
+    gelu_grad,
+    softmax,
+)
 from chronolm.objectives import (
     IGNORE_INDEX,
     LabelSpace,
@@ -104,6 +110,55 @@ def test_encoder_shapes_and_pad_invariance():
     longer = np.array([[CLS, 7, 8, SEP, PAD, PAD, PAD, PAD]])
     hidden2, _ = encoder_forward(params, cfg, longer)
     np.testing.assert_allclose(hidden[0, :4], hidden2[0, :4], atol=1e-5)
+
+
+# Sixteen float32 ulps at 1: the spread a few float32 operations can leave.
+F32_TOL = 16 * float(np.finfo(np.float32).eps)
+
+
+def gelu_reference(x):
+    # The tanh form in float64, with the cube as pow.
+    inner = math.sqrt(2.0 / math.pi) * (x + 0.044715 * np.power(x, 3))
+    return 0.5 * x * (1.0 + np.tanh(inner))
+
+
+def test_gelu_matches_float64_reference():
+    x = np.linspace(-10.0, 10.0, 20001).astype(np.float32)
+    y = gelu(x)
+    assert y.dtype == np.float32
+    np.testing.assert_allclose(y, gelu_reference(x.astype(np.float64)),
+                               rtol=F32_TOL, atol=F32_TOL)
+
+
+def test_gelu_grad_matches_central_difference():
+    x = np.linspace(-10.0, 10.0, 20001).astype(np.float32)
+    x64 = x.astype(np.float64)
+    h = 1e-5
+    numeric = (gelu_reference(x64 + h) - gelu_reference(x64 - h)) / (2 * h)
+    g = gelu_grad(x)
+    assert g.dtype == np.float32
+    np.testing.assert_allclose(g, numeric, rtol=F32_TOL, atol=F32_TOL)
+
+
+def test_encoder_keeps_float32_in_every_cache_array_and_gradient():
+    cfg = small_config(dropout=0.1)
+    params = init_params(cfg, dtype=np.float32)
+    ids = np.array([[CLS, 7, 8, SEP, PAD], [CLS, 9, 10, 11, SEP]])
+    hidden, cache = encoder_forward(params, cfg, ids, train=True,
+                                    rng=rng_from(0, "dtype"))
+    arrays = [("hidden", hidden), ("key_bias", cache.key_bias),
+              ("emb_drop", cache.emb_drop)]
+    arrays += [(f"ln_f[{j}]", a) for j, a in enumerate(cache.ln_f)]
+    for i, layer in enumerate(cache.layers):
+        for key, value in layer.items():
+            parts = value if isinstance(value, tuple) else (value,)
+            arrays += [(f"layer{i}.{key}[{j}]", a) for j, a in enumerate(parts)]
+    assert len(arrays) > 20
+    for name, a in arrays:
+        assert a.dtype == np.float32, name
+    grads = encoder_backward(params, cfg, cache, np.ones_like(hidden))
+    for name, g in grads.items():
+        assert g.dtype == np.float32, name
 
 
 def test_encoder_rejects_bad_inputs():

@@ -23,8 +23,10 @@ from chronolm.objectives import (
     TIR_KEPT,
     TIR_REPLACED,
     LabelSpace,
+    ExpressionPool,
     MaskAction,
     Objective,
+    PoolEntry,
     apply_plan,
     build_labelspace,
     build_pretrain_example,
@@ -248,6 +250,58 @@ def test_pool_deduplicates_and_groups_by_granularity():
     surfaces = [e.surface for e in months]
     assert len(surfaces) == len(set(surfaces)) == 20
     assert all(e.value.granularity is Granularity.MONTH for e in months)
+
+
+def pick_by_scan(pool, value, rng):
+    """The candidate pick as a scan over the whole granularity bucket."""
+    candidates = [entry for entry in pool.for_granularity(value.granularity)
+                  if entry.value != value]
+    if not candidates:
+        return None
+    return candidates[int(rng.integers(len(candidates)))]
+
+
+def random_pools(rng):
+    """Pools over few values with repeats: sorted by collection, or shuffled."""
+    for trial in range(40):
+        n = int(rng.integers(0, 12))
+        years = rng.integers(1990, 1995, size=n)
+        months = rng.integers(1, 4, size=n)
+        pairs = [(f"s{i}", TimePoint(int(y)), TimePoint(int(y), int(m)))
+                 for i, (y, m) in enumerate(zip(years, months))]
+        entries = {
+            Granularity.YEAR: tuple(PoolEntry(s, y) for s, y, _ in pairs),
+            Granularity.MONTH: tuple(PoolEntry(s, m) for s, _, m in pairs),
+        }
+        yield ExpressionPool({g: e for g, e in entries.items() if e})
+        # the same entries in value order, as collect_expression_pool sorts them
+        yield ExpressionPool({
+            g: tuple(sorted(e, key=lambda p: (p.value.year, p.value.month or 0,
+                                              p.surface)))
+            for g, e in entries.items() if e
+        })
+
+
+def test_pool_draw_other_matches_the_scan():
+    rng = rng_from(0, "pool-oracle")
+    queries = [TimePoint(y) for y in range(1989, 1996)]
+    queries += [TimePoint(y, m) for y in range(1990, 1995) for m in (1, 2, 3, 7)]
+    hand_built = ExpressionPool({Granularity.YEAR: (
+        PoolEntry("b", TimePoint(1992)), PoolEntry("a", TimePoint(1990)),
+        PoolEntry("c", TimePoint(1992)), PoolEntry("d", TimePoint(1991)),
+        PoolEntry("e", TimePoint(1990)), PoolEntry("f", TimePoint(1992)),
+    )})
+    only_one_value = ExpressionPool({Granularity.YEAR: (
+        PoolEntry("x", TimePoint(1990)), PoolEntry("y", TimePoint(1990)),
+    )})
+    pools = [hand_built, only_one_value, *random_pools(rng)]
+    for p, pool in enumerate(pools):
+        for q, value in enumerate(queries):
+            for draw in range(5):
+                fast, slow = rng_from(p, q, draw), rng_from(p, q, draw)
+                assert pool.draw_other(value, fast) == pick_by_scan(pool, value, slow)
+                # the same number of draws was taken from the stream
+                assert fast.random() == slow.random()
 
 
 def test_build_tir_shape_and_prefix():
