@@ -17,7 +17,6 @@ from .model.training import (
     LabeledExample,
     classify,
     encode,
-    encode_batch,
     finetune,
     prepare_labeled,
     pretrain,
@@ -110,6 +109,14 @@ class RankedDates:
         return None
 
 
+def _cosine(a: np.ndarray, b: np.ndarray) -> Optional[float]:
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        return None
+    return float(a @ b) / (na * nb)
+
+
 def similarity_rank(
     checkpoint: EncoderCheckpoint,
     query: str,
@@ -119,33 +126,23 @@ def similarity_rank(
 ) -> RankedDates:
     """Rank every point of a label space by cosine to the query's state.
 
-    Candidates are embedded from their rendered surface forms, in batches;
-    candidates that tokenize alike share one encoding, so they tie
-    exactly.  Ties break toward the earlier point; zero-norm vectors rank
-    last.
+    Candidates are embedded from their rendered surface forms.  Ties break
+    toward the earlier point; zero-norm vectors rank last.
     """
     qvec = probe_representation(checkpoint, query, lowercase)
-    points = list(space.points())
-    seqs = [
-        text_input_ids(render(point), checkpoint.vocab, lowercase,
-                       checkpoint.config.max_len)
-        for point in points
-    ]
-    unique = list(dict.fromkeys(seqs))
-    row_of = {seq: i for i, seq in enumerate(unique)}
-    states = np.stack([h[0] for h in encode_batch(checkpoint, unique)])
-    cvecs = states[[row_of[seq] for seq in seqs]]
-
-    # Row-wise reductions give equal rows equal scores.
-    norms = np.sqrt((cvecs * cvecs).sum(axis=1)) * float(np.linalg.norm(qvec))
-    zero = norms == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cosines = np.where(zero, np.nan, (cvecs * qvec).sum(axis=1) / norms)
-    # Best first, the earlier point on a tie, zero-norm candidates last.
-    order = np.lexsort((np.arange(len(points)), np.where(zero, np.inf, -cosines)))
-    ranking = tuple((points[i], float(cosines[i])) for i in order)
-    zeros = tuple(point for point, z in zip(points, zero) if z)
-    return RankedDates(query, ranking, frozenset(relevant), zeros)
+    scored: list[tuple[float, int, TimePoint, float]] = []
+    zeros: list[TimePoint] = []
+    for index, point in enumerate(space.points()):
+        cvec = probe_representation(checkpoint, render(point), lowercase)
+        cos = _cosine(qvec, cvec)
+        if cos is None:
+            zeros.append(point)
+            scored.append((float("-inf"), index, point, float("nan")))
+        else:
+            scored.append((-cos, index, point, cos))
+    scored.sort(key=lambda item: (item[0], item[1]))
+    ranking = tuple((point, score) for _, _, point, score in scored)
+    return RankedDates(query, ranking, frozenset(relevant), tuple(zeros))
 
 
 def mrr(ranked: Sequence[RankedDates]) -> float:

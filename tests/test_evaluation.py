@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from chronolm import evaluation
 from chronolm.corpus import SPECIAL_TOKENS, Vocab
 from chronolm.errors import EmptyInput
 from chronolm.evaluation import (
@@ -22,7 +21,7 @@ from chronolm.evaluation import (
 )
 from chronolm.model import EncoderCheckpoint, ModelConfig
 from chronolm.objectives import build_labelspace
-from chronolm.temporal import Granularity, TimePoint, render
+from chronolm.temporal import Granularity, TimePoint
 from chronolm.util import rng_from
 
 from oracles import (
@@ -218,34 +217,3 @@ def test_similarity_rank_ties_break_toward_earlier_point():
     ranked = similarity_rank(ckpt, "the treaty", space)
     pts = [p for p, _ in ranked.ranking]
     assert pts == list(space.points())
-
-
-def test_similarity_rank_cosines_match_single_probes():
-    ckpt = tiny_checkpoint()
-    space = build_labelspace(TimePoint(1990), TimePoint(1999), Granularity.YEAR)
-    ranked = similarity_rank(ckpt, "the treaty", space)
-    q = probe_representation(ckpt, "the treaty")
-    for point, score in ranked.ranking:
-        c = probe_representation(ckpt, render(point))
-        expected = float(q @ c) / float(np.linalg.norm(q) * np.linalg.norm(c))
-        assert abs(score - expected) <= 1e-5, point
-
-
-def test_similarity_rank_puts_zero_vectors_last(monkeypatch):
-    ckpt = tiny_checkpoint()
-    space = build_labelspace(TimePoint(1990), TimePoint(1999), Granularity.YEAR)
-    blank = {ckpt.vocab.id_of("1991"), ckpt.vocab.id_of("1996")}
-    real = evaluation.encode_batch
-
-    def encode_with_blanks(checkpoint, sequences, *args, **kwargs):
-        states = real(checkpoint, sequences, *args, **kwargs)
-        return [np.zeros_like(h) if blank & set(seq) else h
-                for h, seq in zip(states, sequences)]
-
-    monkeypatch.setattr(evaluation, "encode_batch", encode_with_blanks)
-    ranked = similarity_rank(ckpt, "the treaty", space)
-    assert ranked.zero_vectors == (TimePoint(1991), TimePoint(1996))
-    assert [p for p, _ in ranked.ranking[-2:]] == [TimePoint(1991), TimePoint(1996)]
-    assert all(math.isnan(s) for _, s in ranked.ranking[-2:])
-    scores = [s for _, s in ranked.ranking[:-2]]
-    assert scores == sorted(scores, reverse=True)
