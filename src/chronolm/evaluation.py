@@ -137,7 +137,7 @@ def similarity_rank(
         cos = _cosine(qvec, cvec)
         if cos is None:
             zeros.append(point)
-            scored.append((float("-inf"), index, point, float("nan")))
+            scored.append((float("inf"), index, point, float("nan")))
         else:
             scored.append((-cos, index, point, cos))
     scored.sort(key=lambda item: (item[0], item[1]))

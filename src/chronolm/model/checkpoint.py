@@ -58,33 +58,68 @@ def save_checkpoint(ckpt: EncoderCheckpoint, path: str) -> None:
     util.atomic_write_bytes(path, bytes(blob))
 
 
+Manifest = list[tuple[str, tuple[int, ...]]]
+
+
+def _parse_header(path: str, line: bytes) -> tuple[ModelConfig, str, Manifest]:
+    """The header's config, vocabulary hash and manifest, checked against
+    each other: the manifest must name exactly the tensors, with the
+    shapes, that the config implies."""
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        raise MalformedRecord(f"{path}: not a checkpoint header") from None
+    if not isinstance(header, dict) or header.get("format") != _FORMAT:
+        raise MalformedRecord(f"{path}: unknown checkpoint format")
+    try:
+        config = ModelConfig.from_json(header["config"])
+        vocab_sha256 = str(header["vocab_sha256"])
+        manifest = [(str(name), tuple(int(n) for n in shape))
+                    for name, shape in header["manifest"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedRecord(f"{path}: bad checkpoint header: {exc!r}") from None
+    expected = parameter_shapes(config)
+    seen: set[str] = set()
+    for name, shape in manifest:
+        if name not in expected or name in seen:
+            raise MalformedRecord(f"{path}: unexpected tensor {name} in manifest")
+        if shape != tuple(expected[name]):
+            raise MalformedRecord(
+                f"{path}: tensor {name} has shape {list(shape)}, "
+                f"config expects {list(expected[name])}")
+        seen.add(name)
+    for name in sorted(expected):
+        if name not in seen:
+            raise MalformedRecord(f"{path}: tensor {name} missing from manifest")
+    return config, vocab_sha256, manifest
+
+
 def load_checkpoint(
     path: str,
     vocab: Optional[Vocab] = None,
     dtype=np.float32,
 ) -> EncoderCheckpoint:
-    """Read a checkpoint; verifies the vocabulary hash when one is supplied."""
+    """Read a checkpoint; verifies the vocabulary hash when one is supplied.
+
+    Raises MalformedRecord naming the tensor when the manifest disagrees
+    with the header's config or a tensor holds a non-finite value.
+    """
     with open(path, "rb") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            raise MalformedRecord(f"{path}: not a checkpoint header") from None
-        if header.get("format") != _FORMAT:
-            raise MalformedRecord(f"{path}: unknown checkpoint format")
-        config = ModelConfig.from_json(header["config"])
+        config, vocab_sha256, manifest = _parse_header(path, fh.readline())
         params: dict[str, np.ndarray] = {}
-        for name, shape in header["manifest"]:
+        for name, shape in manifest:
             count = int(np.prod(shape)) if shape else 1
             raw = fh.read(4 * count)
             if len(raw) != 4 * count:
                 raise MalformedRecord(f"{path}: truncated tensor {name}")
             arr = np.frombuffer(raw, dtype="<f4").reshape(shape)
+            if not np.isfinite(arr).all():
+                raise MalformedRecord(f"{path}: tensor {name} has non-finite values")
             params[name] = arr.astype(dtype)
         if fh.read(1):
             raise MalformedRecord(f"{path}: trailing bytes after manifest")
-    if vocab is not None and vocab.content_hash() != header["vocab_sha256"]:
+    if vocab is not None and vocab.content_hash() != vocab_sha256:
         raise VocabMismatch(
             f"{path}: checkpoint was built against a different vocabulary"
         )
-    return EncoderCheckpoint(config, params, header["vocab_sha256"], vocab)
+    return EncoderCheckpoint(config, params, vocab_sha256, vocab)

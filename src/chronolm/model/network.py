@@ -31,56 +31,101 @@ _NEG_BIG = -1e9
 
 # The cube is spelled out as multiplies: numpy's float32 ``x ** 3`` goes
 # through pow and is about 100x slower than ``x * x * x``.
+#
+# The elementwise kernels below allocate their own few buffers and update
+# them in place.  Each keeps the operation order of the plain expression in
+# its first comment (c = sqrt(2 / pi), G = _GELU_C), so its results are
+# bit-identical to that expression's.  None of them writes into its
+# arguments.
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    inner = _SQRT_2_OVER_PI * (x + _GELU_C * (x * x * x))
-    return 0.5 * x * (1.0 + np.tanh(inner))
+    # 0.5 * x * (1 + tanh(c * (x + G * x * x * x)))
+    t = x * x
+    t *= x
+    t *= _GELU_C
+    t += x
+    t *= _SQRT_2_OVER_PI
+    np.tanh(t, out=t)
+    t += 1.0
+    out = x * 0.5
+    out *= t
+    return out
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
+    # 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * c * (1 + 3 * G * x * x),
+    # with t = tanh(c * (x + G * x * x * x))
     x2 = x * x
-    inner = _SQRT_2_OVER_PI * (x + _GELU_C * (x2 * x))
-    t = np.tanh(inner)
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _SQRT_2_OVER_PI * (
-        1.0 + 3.0 * _GELU_C * x2
-    )
+    t = x2 * x
+    t *= _GELU_C
+    t += x
+    t *= _SQRT_2_OVER_PI
+    np.tanh(t, out=t)
+    sech2 = t * t
+    np.subtract(1.0, sech2, out=sech2)
+    out = x * 0.5
+    out *= sech2
+    out *= _SQRT_2_OVER_PI
+    x2 *= 3.0 * _GELU_C
+    x2 += 1.0
+    out *= x2
+    t += 1.0
+    t *= 0.5
+    out += t
+    return out
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    # exp(x - max) / sum(exp(x - max))
+    out = x - x.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
 
 
 _LN_EPS = 1e-5
 
 
 def layer_norm_fwd(x: np.ndarray, g: np.ndarray, b: np.ndarray):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + _LN_EPS)
-    xhat = xc * inv
-    return g * xhat + b, (xhat, inv, g)
+    # xhat = (x - mean) / sqrt(var + eps); y = g * xhat + b
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    y = xhat * xhat
+    inv = y.mean(axis=-1, keepdims=True)
+    inv += _LN_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, g, out=y)
+    y += b
+    return y, (xhat, inv, g)
 
 
 def layer_norm_bwd(dy: np.ndarray, cache):
+    # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)),
+    # with dxhat = dy * g
     xhat, inv, g = cache
-    dg = (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0)
-    db = dy.reshape(-1, xhat.shape[-1]).sum(axis=0)
-    dxhat = dy * g
-    dx = inv * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    )
+    d = xhat.shape[-1]
+    tmp = dy * xhat
+    dg = tmp.reshape(-1, d).sum(axis=0)
+    db = dy.reshape(-1, d).sum(axis=0)
+    dx = dy * g
+    np.multiply(dx, xhat, out=tmp)
+    proj = tmp.mean(axis=-1, keepdims=True)
+    np.multiply(xhat, proj, out=tmp)
+    dx -= dx.mean(axis=-1, keepdims=True)
+    dx -= tmp
+    dx *= inv
     return dx, dg, db
 
 
 def _dropout_mask(rng: np.random.Generator, shape, prob: float, dtype) -> np.ndarray:
     # Inverted dropout: surviving activations are scaled up at train time.
-    keep = (rng.random(shape) >= prob).astype(dtype)
-    return keep / dtype.type(1.0 - prob)
+    # (rng.random(shape) >= prob) / (1 - prob), the draws in float64.
+    keep = np.empty(shape, dtype=dtype)
+    np.greater_equal(rng.random(shape), prob, out=keep, casting="unsafe")
+    keep /= dtype.type(1.0 - prob)
+    return keep
 
 
 @dataclass
@@ -112,25 +157,37 @@ def encoder_forward(
 
     Padding positions act only through attention masking; their own hidden
     states are computed but carry no loss.  Returns (hidden, cache).
+
+    Inside, the hidden stream is token-major, (batch * length, d_model), so
+    every dense projection is a single 2-D GEMM; only attention works on
+    (batch, heads, length, head_dim) views.
     """
     validate_ids(cfg, ids)
     if train and cfg.dropout > 0.0 and rng is None:
         raise ValueError("training with dropout requires an rng")
     dtype = params["emb.tok"].dtype
     B, L = ids.shape
+    N, D = B * L, cfg.d_model
     nh = cfg.n_heads
-    dh = cfg.d_model // nh
+    dh = D // nh
     scale = dtype.type(1.0 / math.sqrt(dh))
+    dropout = train and cfg.dropout > 0.0
 
     # Additive attention bias: padding keys are pushed to effectively -inf.
     key_bias = np.where(ids == PAD, dtype.type(_NEG_BIG), dtype.type(0.0))
     key_bias = key_bias[:, None, None, :]
 
-    h = params["emb.tok"][ids] + params["emb.pos"][:L]
+    h = params["emb.tok"][ids]
+    h += params["emb.pos"][:L]
+    h = h.reshape(N, D)
     emb_drop = None
-    if train and cfg.dropout > 0.0:
+    if dropout:
         emb_drop = _dropout_mask(rng, h.shape, cfg.dropout, h.dtype)
-        h = h * emb_drop
+        h *= emb_drop
+
+    def heads(x: np.ndarray) -> np.ndarray:
+        # (N, D) -> (B, nh, L, dh)
+        return x.reshape(B, L, nh, dh).transpose(0, 2, 1, 3)
 
     layers = []
     for i in range(cfg.n_layers):
@@ -139,38 +196,42 @@ def encoder_forward(
 
         a, cache["ln1"] = layer_norm_fwd(h, params[p + "ln1.g"], params[p + "ln1.b"])
         cache["a"] = a
-        q = a @ params[p + "attn.wq"] + params[p + "attn.bq"]
-        k = a @ params[p + "attn.wk"] + params[p + "attn.bk"]
-        v = a @ params[p + "attn.wv"] + params[p + "attn.bv"]
-        # (B, L, D) -> (B, nh, L, dh)
-        q = q.reshape(B, L, nh, dh).transpose(0, 2, 1, 3)
-        k = k.reshape(B, L, nh, dh).transpose(0, 2, 1, 3)
-        v = v.reshape(B, L, nh, dh).transpose(0, 2, 1, 3)
-        scores = (q @ k.transpose(0, 1, 3, 2)) * scale + key_bias
+        q = a @ params[p + "attn.wq"]
+        q += params[p + "attn.bq"]
+        k = a @ params[p + "attn.wk"]
+        k += params[p + "attn.bk"]
+        v = a @ params[p + "attn.wv"]
+        v += params[p + "attn.bv"]
+        q, k, v = heads(q), heads(k), heads(v)
+        scores = q @ k.transpose(0, 1, 3, 2)
+        scores *= scale
+        scores += key_bias
         probs = softmax(scores, axis=-1)
-        ctx = probs @ v
-        ctx2 = ctx.transpose(0, 2, 1, 3).reshape(B, L, cfg.d_model)
-        o = ctx2 @ params[p + "attn.wo"] + params[p + "attn.bo"]
+        ctx2 = (probs @ v).transpose(0, 2, 1, 3).reshape(N, D)
+        o = ctx2 @ params[p + "attn.wo"]
+        o += params[p + "attn.bo"]
         cache.update(q=q, k=k, v=v, probs=probs, ctx2=ctx2)
-        if train and cfg.dropout > 0.0:
+        if dropout:
             cache["attn_drop"] = _dropout_mask(rng, o.shape, cfg.dropout, h.dtype)
-            o = o * cache["attn_drop"]
-        h = h + o
+            o *= cache["attn_drop"]
+        h += o
 
         a2, cache["ln2"] = layer_norm_fwd(h, params[p + "ln2.g"], params[p + "ln2.b"])
         cache["a2"] = a2
-        z = a2 @ params[p + "ffn.w1"] + params[p + "ffn.b1"]
+        z = a2 @ params[p + "ffn.w1"]
+        z += params[p + "ffn.b1"]
         u = gelu(z)
-        f = u @ params[p + "ffn.w2"] + params[p + "ffn.b2"]
+        f = u @ params[p + "ffn.w2"]
+        f += params[p + "ffn.b2"]
         cache.update(z=z, u=u)
-        if train and cfg.dropout > 0.0:
+        if dropout:
             cache["ffn_drop"] = _dropout_mask(rng, f.shape, cfg.dropout, h.dtype)
-            f = f * cache["ffn_drop"]
-        h = h + f
+            f *= cache["ffn_drop"]
+        h += f
         layers.append(cache)
 
     out, ln_f_cache = layer_norm_fwd(h, params["ln_f.g"], params["ln_f.b"])
-    return out, EncoderCache(ids, key_bias, emb_drop, layers, ln_f_cache)
+    return out.reshape(B, L, D), EncoderCache(ids, key_bias, emb_drop, layers, ln_f_cache)
 
 
 def encoder_backward(
@@ -179,69 +240,75 @@ def encoder_backward(
     cache: EncoderCache,
     dh: np.ndarray,
 ) -> dict[str, np.ndarray]:
-    """Parameter gradients given the gradient at the final hidden states."""
+    """Parameter gradients given the gradient at the final hidden states.
+
+    dh has the (batch, length, d_model) shape of the forward's hidden
+    states; neither it nor the cache is modified.
+    """
     dtype = params["emb.tok"].dtype
     grads: dict[str, np.ndarray] = {}
     B, L = cache.ids.shape
+    N, D = B * L, cfg.d_model
     nh = cfg.n_heads
-    dh_dim = cfg.d_model // nh
+    dh_dim = D // nh
     scale = dtype.type(1.0 / math.sqrt(dh_dim))
 
-    dstream, grads["ln_f.g"], grads["ln_f.b"] = layer_norm_bwd(dh, cache.ln_f)
+    def tokens(x: np.ndarray) -> np.ndarray:
+        # (B, nh, L, dh) -> (N, D)
+        return x.transpose(0, 2, 1, 3).reshape(N, D)
+
+    # dstream is a fresh buffer from here on, so it is updated in place.
+    dstream, grads["ln_f.g"], grads["ln_f.b"] = layer_norm_bwd(
+        dh.reshape(N, D), cache.ln_f)
 
     for i in reversed(range(cfg.n_layers)):
         p = f"layer{i}."
         c = cache.layers[i]
 
-        df = dstream
-        if "ffn_drop" in c:
-            df = df * c["ffn_drop"]
+        df = dstream * c["ffn_drop"] if "ffn_drop" in c else dstream
         du = df @ params[p + "ffn.w2"].T
-        grads[p + "ffn.w2"] = c["u"].reshape(-1, cfg.d_ff).T @ df.reshape(-1, cfg.d_model)
-        grads[p + "ffn.b2"] = df.reshape(-1, cfg.d_model).sum(axis=0)
-        dz = du * gelu_grad(c["z"])
+        grads[p + "ffn.w2"] = c["u"].T @ df
+        grads[p + "ffn.b2"] = df.sum(axis=0)
+        dz = gelu_grad(c["z"])
+        dz *= du
         da2 = dz @ params[p + "ffn.w1"].T
-        grads[p + "ffn.w1"] = c["a2"].reshape(-1, cfg.d_model).T @ dz.reshape(-1, cfg.d_ff)
-        grads[p + "ffn.b1"] = dz.reshape(-1, cfg.d_ff).sum(axis=0)
+        grads[p + "ffn.w1"] = c["a2"].T @ dz
+        grads[p + "ffn.b1"] = dz.sum(axis=0)
         dres, grads[p + "ln2.g"], grads[p + "ln2.b"] = layer_norm_bwd(da2, c["ln2"])
-        dstream = dstream + dres
+        dstream += dres
 
-        do = dstream
-        if "attn_drop" in c:
-            do = do * c["attn_drop"]
+        do = dstream * c["attn_drop"] if "attn_drop" in c else dstream
         dctx2 = do @ params[p + "attn.wo"].T
-        grads[p + "attn.wo"] = (
-            c["ctx2"].reshape(-1, cfg.d_model).T @ do.reshape(-1, cfg.d_model)
-        )
-        grads[p + "attn.bo"] = do.reshape(-1, cfg.d_model).sum(axis=0)
+        grads[p + "attn.wo"] = c["ctx2"].T @ do
+        grads[p + "attn.bo"] = do.sum(axis=0)
         dctx = dctx2.reshape(B, L, nh, dh_dim).transpose(0, 2, 1, 3)
-        dprobs = dctx @ c["v"].transpose(0, 1, 3, 2)
-        dv = c["probs"].transpose(0, 1, 3, 2) @ dctx
-        # Softmax backward: p * (dp - sum(dp * p)).
-        dscores = c["probs"] * (
-            dprobs - (dprobs * c["probs"]).sum(axis=-1, keepdims=True)
-        )
-        dq = (dscores @ c["k"]) * scale
-        dk = (dscores.transpose(0, 1, 3, 2) @ c["q"]) * scale
-        dq = dq.transpose(0, 2, 1, 3).reshape(B, L, cfg.d_model)
-        dk = dk.transpose(0, 2, 1, 3).reshape(B, L, cfg.d_model)
-        dv = dv.transpose(0, 2, 1, 3).reshape(B, L, cfg.d_model)
-        a2d = c["a"].reshape(-1, cfg.d_model)
-        da = np.zeros_like(c["a"])
-        for name, dout in (("wq", dq), ("wk", dk), ("wv", dv)):
-            grads[p + f"attn.{name}"] = a2d.T @ dout.reshape(-1, cfg.d_model)
-            grads[p + "attn.b" + name[1]] = dout.reshape(-1, cfg.d_model).sum(axis=0)
-            da = da + dout @ params[p + f"attn.{name}"].T
+        probs = c["probs"]
+        dv = probs.transpose(0, 1, 3, 2) @ dctx
+        # Softmax backward: p * (dp - sum(dp * p)), in place over dp.
+        dscores = dctx @ c["v"].transpose(0, 1, 3, 2)
+        dscores -= (dscores * probs).sum(axis=-1, keepdims=True)
+        dscores *= probs
+        dq = dscores @ c["k"]
+        dq *= scale
+        dk = dscores.transpose(0, 1, 3, 2) @ c["q"]
+        dk *= scale
+        dq, dk, dv = tokens(dq), tokens(dk), tokens(dv)
+        for name, dout in (("q", dq), ("k", dk), ("v", dv)):
+            grads[p + f"attn.w{name}"] = c["a"].T @ dout
+            grads[p + f"attn.b{name}"] = dout.sum(axis=0)
+        da = dq @ params[p + "attn.wq"].T
+        da += dk @ params[p + "attn.wk"].T
+        da += dv @ params[p + "attn.wv"].T
         dres, grads[p + "ln1.g"], grads[p + "ln1.b"] = layer_norm_bwd(da, c["ln1"])
-        dstream = dstream + dres
+        dstream += dres
 
     if cache.emb_drop is not None:
-        dstream = dstream * cache.emb_drop
+        dstream *= cache.emb_drop
 
     grads["emb.pos"] = np.zeros_like(params["emb.pos"])
-    grads["emb.pos"][:L] = dstream.sum(axis=0)
+    grads["emb.pos"][:L] = dstream.reshape(B, L, D).sum(axis=0)
     grads["emb.tok"] = np.zeros_like(params["emb.tok"])
-    np.add.at(grads["emb.tok"], cache.ids, dstream)
+    np.add.at(grads["emb.tok"], cache.ids.reshape(N), dstream)
     return grads
 
 

@@ -9,7 +9,7 @@ would have taken.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as dc_replace
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -300,13 +300,21 @@ def encode_batch(
     batch_size: int = 64,
 ) -> list[np.ndarray]:
     """Inference-mode hidden states for many sequences (ragged lengths ok)."""
-    out: list[np.ndarray] = []
+    return [row[: len(seq)]
+            for chunk, hidden in _forward_chunks(checkpoint, sequences, batch_size)
+            for row, seq in zip(hidden, chunk)]
+
+
+def _forward_chunks(
+    checkpoint: EncoderCheckpoint,
+    sequences: Sequence[Sequence[int]],
+    batch_size: int,
+) -> Iterator[tuple[list[Sequence[int]], np.ndarray]]:
+    """Inference-mode forwards over padded chunks: (chunk, hidden) pairs."""
     for chunk in _chunks(list(sequences), batch_size):
         ids = _pad_rows([list(s) for s in chunk], PAD)
         hidden, _ = encoder_forward(checkpoint.params, checkpoint.config, ids)
-        for row, seq in zip(hidden, chunk):
-            out.append(row[: len(seq)])
-    return out
+        yield chunk, hidden
 
 
 def mlm_loss(
@@ -376,6 +384,20 @@ def joint_loss(
     return float(sum(parts[o.value] for o in active))
 
 
+def _head_argmax(
+    checkpoint: EncoderCheckpoint,
+    sequences: Sequence[Sequence[int]],
+    head: str,
+    batch_size: int,
+) -> np.ndarray:
+    """Argmax classes of a first-position head over many sequences."""
+    w = checkpoint.params[f"head.{head}.w"]
+    b = checkpoint.params[f"head.{head}.b"]
+    out = [np.argmax(hidden[:, 0] @ w + b, axis=-1)
+           for _, hidden in _forward_chunks(checkpoint, sequences, batch_size)]
+    return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
+
+
 def classify(
     checkpoint: EncoderCheckpoint,
     sequences: Sequence[Sequence[int]],
@@ -384,14 +406,7 @@ def classify(
     """Argmax classes from the fine-tuned head for a list of id sequences."""
     if checkpoint.config.k_cls is None:
         raise ValueError("model has no fine-tuned classifier head")
-    w = checkpoint.params["head.cls.w"]
-    b = checkpoint.params["head.cls.b"]
-    out = []
-    for chunk in _chunks(list(sequences), batch_size):
-        ids = _pad_rows([list(s) for s in chunk], PAD)
-        hidden, _ = encoder_forward(checkpoint.params, checkpoint.config, ids)
-        out.append(np.argmax(hidden[:, 0] @ w + b, axis=-1))
-    return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
+    return _head_argmax(checkpoint, sequences, "cls", batch_size)
 
 
 def predict_dtp(
@@ -402,11 +417,4 @@ def predict_dtp(
     """Argmax classes from the timestamp head."""
     if checkpoint.config.k_dtp is None:
         raise ValueError("model has no timestamp head")
-    w = checkpoint.params["head.dtp.w"]
-    b = checkpoint.params["head.dtp.b"]
-    out = []
-    for chunk in _chunks(list(sequences), batch_size):
-        ids = _pad_rows([list(s) for s in chunk], PAD)
-        hidden, _ = encoder_forward(checkpoint.params, checkpoint.config, ids)
-        out.append(np.argmax(hidden[:, 0] @ w + b, axis=-1))
-    return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
+    return _head_argmax(checkpoint, sequences, "dtp", batch_size)

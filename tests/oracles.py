@@ -2,10 +2,15 @@
 
 Everything here is deliberately naive: day arithmetic by stepping one
 day at a time with hand-written leap rules, ranking metrics computed
-from first principles.  None of it imports the package under test.
+from first principles, and the encoder's elementwise kernels as plain
+expressions.  None of it imports the package under test.
 """
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 
 def leap(year: int) -> bool:
@@ -89,3 +94,57 @@ def accuracy_percent(pairs) -> float:
 
 def mean_abs_error(values) -> float:
     return sum(abs(v) for v in values) / len(values)
+
+
+# The encoder's elementwise kernels as plain numpy expressions: the forms
+# the in-place kernels in chronolm.model.network must reproduce bit for bit.
+
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+_GELU_C = 0.044715
+_LN_EPS = 1e-5
+
+
+def gelu(x):
+    inner = _SQRT_2_OVER_PI * (x + _GELU_C * (x * x * x))
+    return 0.5 * x * (1.0 + np.tanh(inner))
+
+
+def gelu_grad(x):
+    x2 = x * x
+    inner = _SQRT_2_OVER_PI * (x + _GELU_C * (x2 * x))
+    t = np.tanh(inner)
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _SQRT_2_OVER_PI * (
+        1.0 + 3.0 * _GELU_C * x2
+    )
+
+
+def softmax(x, axis=-1):
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def layer_norm_fwd(x, g, b):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + _LN_EPS)
+    xhat = xc * inv
+    return g * xhat + b, (xhat, inv, g)
+
+
+def layer_norm_bwd(dy, cache):
+    xhat, inv, g = cache
+    dg = (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0)
+    db = dy.reshape(-1, xhat.shape[-1]).sum(axis=0)
+    dxhat = dy * g
+    dx = inv * (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    )
+    return dx, dg, db
+
+
+def dropout_mask(rng, shape, prob, dtype):
+    keep = (rng.random(shape) >= prob).astype(dtype)
+    return keep / dtype.type(1.0 - prob)

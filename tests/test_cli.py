@@ -199,6 +199,30 @@ def test_probe(workdir):
     assert [int(r["rank"]) for r in rows] == [1, 2, 3, 4, 5]
 
 
+def test_probe_rejects_bad_checkpoints(workdir, capsys):
+    header, _, body = (workdir / "enc.ckpt").read_bytes().partition(b"\n")
+    edited = json.loads(header)
+    edited["config"]["n_layers"] = 2
+    edited = json.dumps(edited, sort_keys=True, separators=(",", ":")).encode()
+    nan = bytes.fromhex("0000c07f")  # float32 NaN, little-endian
+    cases = {
+        "layers.ckpt": (edited + b"\n" + body, "layer1."),
+        "nan.ckpt": (header + b"\n" + nan + body[4:], "emb.pos"),
+    }
+    for name, (data, tensor) in cases.items():
+        (workdir / name).write_bytes(data)
+        capsys.readouterr()
+        rc = run("probe", "--config", workdir / "year.cfg",
+                 "--checkpoint", workdir / name,
+                 "--vocab", workdir / "vocab.txt",
+                 "--query", "the treaty of 1992",
+                 "--out", workdir / "bad-probe.csv")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and tensor in err
+        assert "Traceback" not in err
+
+
 def test_baseline(workdir):
     rc = run("baseline", "--config", workdir / "year.cfg",
              "--data", workdir / "events.jsonl",

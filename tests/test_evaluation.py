@@ -217,3 +217,25 @@ def test_similarity_rank_ties_break_toward_earlier_point():
     ranked = similarity_rank(ckpt, "the treaty", space)
     pts = [p for p, _ in ranked.ranking]
     assert pts == list(space.points())
+
+
+def test_similarity_rank_puts_zero_vectors_last(monkeypatch):
+    import chronolm.evaluation as evaluation
+
+    ckpt = tiny_checkpoint()
+    space = build_labelspace(TimePoint(1990), TimePoint(1993), Granularity.YEAR)
+    zeroed = TimePoint(1991)
+    real = evaluation.probe_representation
+
+    def probe(checkpoint, text, lowercase=False):
+        vec = real(checkpoint, text, lowercase)
+        return np.zeros_like(vec) if text == "1991" else vec
+
+    monkeypatch.setattr(evaluation, "probe_representation", probe)
+    ranked = similarity_rank(ckpt, "the treaty", space)
+    assert len(ranked.ranking) == 4
+    last_point, last_score = ranked.ranking[-1]
+    assert last_point == zeroed
+    assert math.isnan(last_score)
+    assert ranked.zero_vectors == (zeroed,)
+    assert all(not math.isnan(s) for _, s in ranked.ranking[:-1])

@@ -1,6 +1,7 @@
 """Encoder forward/backward, optimizer behavior, checkpoints, training."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from chronolm.corpus import CLS, MASK, PAD, SEP, SPECIAL_TOKENS, Vocab
 from chronolm.errors import (
     LabelOutOfRange,
+    MalformedRecord,
     NonFiniteGradient,
     SequenceTooLong,
     UnknownTokenId,
@@ -41,10 +43,13 @@ from chronolm.model import (
 )
 from chronolm.model.gradcheck import TINY_CONFIG
 from chronolm.model.network import (
+    _dropout_mask,
     encoder_backward,
     encoder_forward,
     gelu,
     gelu_grad,
+    layer_norm_bwd,
+    layer_norm_fwd,
     softmax,
 )
 from chronolm.objectives import (
@@ -55,6 +60,8 @@ from chronolm.objectives import (
 )
 from chronolm.temporal import Granularity, TimePoint
 from chronolm.util import rng_from
+
+import oracles
 
 
 def small_config(**kw):
@@ -138,6 +145,99 @@ def test_gelu_grad_matches_central_difference():
     g = gelu_grad(x)
     assert g.dtype == np.float32
     np.testing.assert_allclose(g, numeric, rtol=F32_TOL, atol=F32_TOL)
+
+
+def test_gelu_kernels_bit_exact_to_plain_expressions():
+    ramp = np.linspace(-10.0, 10.0, 20001).astype(np.float32)
+    rows = (rng_from(0, "gelu").standard_normal((64, 128)) * 3).astype(np.float32)
+    for x in (ramp, rows):
+        before = x.copy()
+        assert np.array_equal(gelu(x), oracles.gelu(x))
+        assert np.array_equal(gelu_grad(x), oracles.gelu_grad(x))
+        assert np.array_equal(x, before)
+
+
+def test_softmax_bit_exact_and_leaves_input_unchanged():
+    x = (rng_from(0, "softmax").standard_normal((2, 2, 7, 7)) * 4).astype(np.float32)
+    x[..., -2:] += np.float32(-1e9)
+    before = x.copy()
+    for axis in (-1, 2):
+        assert np.array_equal(softmax(x, axis=axis), oracles.softmax(x, axis=axis))
+    assert np.array_equal(x, before)
+
+
+def test_layer_norm_bit_exact_to_plain_expressions():
+    rng = rng_from(0, "layer-norm")
+    for shape in ((60, 128), (4, 15, 128), (3, 16)):
+        x = rng.uniform(-10.0, 10.0, shape).astype(np.float32)
+        g = rng.uniform(0.5, 1.5, shape[-1]).astype(np.float32)
+        b = rng.uniform(-1.0, 1.0, shape[-1]).astype(np.float32)
+        dy = rng.standard_normal(shape).astype(np.float32)
+        inputs = [a.copy() for a in (x, g, b, dy)]
+        y, cache = layer_norm_fwd(x, g, b)
+        y_ref, cache_ref = oracles.layer_norm_fwd(x, g, b)
+        assert np.array_equal(y, y_ref)
+        for got, want in zip(cache, cache_ref):
+            assert np.array_equal(got, want)
+        for got, want in zip(layer_norm_bwd(dy, cache),
+                             oracles.layer_norm_bwd(dy, cache_ref)):
+            assert got.dtype == np.float32
+            assert np.array_equal(got, want)
+        for a, before in zip((x, g, b, dy), inputs):
+            assert np.array_equal(a, before)
+
+
+def test_dropout_mask_bit_exact_to_plain_expression():
+    for prob in (0.1, 0.15, 0.5):
+        got = _dropout_mask(rng_from(0, "mask"), (7, 33), prob, np.dtype(np.float32))
+        want = oracles.dropout_mask(rng_from(0, "mask"), (7, 33), prob,
+                                    np.dtype(np.float32))
+        assert got.dtype == np.float32
+        assert np.array_equal(got, want)
+
+
+def _train_forward(cfg, params, ids):
+    return encoder_forward(params, cfg, ids, train=True, rng=rng_from(0, "mutation"))
+
+
+def _cache_arrays(cache):
+    arrays = [cache.ids, cache.key_bias, cache.emb_drop, *cache.ln_f]
+    for layer in cache.layers:
+        for value in layer.values():
+            arrays += list(value) if isinstance(value, tuple) else [value]
+    return arrays
+
+
+def test_encoder_forward_leaves_params_and_ids_unchanged():
+    cfg = small_config(dropout=0.1)
+    params = init_params(cfg)
+    saved = {k: p.copy() for k, p in params.items()}
+    ids = np.array([[CLS, 7, 8, SEP, PAD], [CLS, 9, 10, 11, SEP]])
+    ids_before = ids.copy()
+    _train_forward(cfg, params, ids)
+    encoder_forward(params, cfg, ids)
+    assert np.array_equal(ids, ids_before)
+    for name, p in params.items():
+        assert np.array_equal(p, saved[name]), name
+
+
+def test_encoder_backward_leaves_dh_and_cache_unchanged():
+    cfg = small_config(dropout=0.1)
+    params = init_params(cfg)
+    ids = np.array([[CLS, 7, 8, SEP, PAD], [CLS, 9, 10, 11, SEP]])
+    hidden, cache = _train_forward(cfg, params, ids)
+    dh = rng_from(0, "dh").standard_normal(hidden.shape).astype(np.float32)
+    dh_before = dh.copy()
+    cache_before = [a.copy() for a in _cache_arrays(cache)]
+    first = encoder_backward(params, cfg, cache, dh)
+    second = encoder_backward(params, cfg, cache, dh)
+    assert np.array_equal(dh, dh_before)
+    for got, before in zip(_cache_arrays(cache), cache_before):
+        assert np.array_equal(got, before)
+    assert set(first) == set(second) == set(params) - {
+        n for n in params if n.startswith("head.")}
+    for name in first:
+        assert np.array_equal(first[name], second[name]), name
 
 
 def test_encoder_keeps_float32_in_every_cache_array_and_gradient():
@@ -348,6 +448,44 @@ def test_checkpoint_truncation_detected(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[:-8])
     with pytest.raises(Exception):
+        load_checkpoint(str(path), vocab=vocab)
+
+
+def _edit_header(path, edit):
+    header_line, _, body = path.read_bytes().partition(b"\n")
+    header = json.loads(header_line)
+    edit(header)
+    line = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(line + b"\n" + body)
+
+
+def test_checkpoint_manifest_checked_against_config(tmp_path):
+    vocab = make_vocab()
+    ckpt = EncoderCheckpoint.fresh(small_config(vocab_size=vocab.size, n_layers=1), vocab)
+    path = tmp_path / "e.ckpt"
+    save_checkpoint(ckpt, str(path))
+    _edit_header(path, lambda h: h["config"].update(n_layers=2))
+    with pytest.raises(MalformedRecord, match="layer1.attn.bk"):
+        load_checkpoint(str(path), vocab=vocab)
+
+    save_checkpoint(ckpt, str(path))
+    _edit_header(path, lambda h: h["manifest"][0].__setitem__(1, [8, 16]))
+    with pytest.raises(MalformedRecord, match="emb.pos"):
+        load_checkpoint(str(path), vocab=vocab)
+
+    save_checkpoint(ckpt, str(path))
+    _edit_header(path, lambda h: h["config"].update(colour="red"))
+    with pytest.raises(MalformedRecord):
+        load_checkpoint(str(path), vocab=vocab)
+
+
+def test_checkpoint_rejects_non_finite_tensor(tmp_path):
+    vocab = make_vocab()
+    ckpt = EncoderCheckpoint.fresh(small_config(vocab_size=vocab.size), vocab)
+    ckpt.params["layer0.ffn.w1"][3, 4] = np.nan
+    path = tmp_path / "f.ckpt"
+    save_checkpoint(ckpt, str(path))
+    with pytest.raises(MalformedRecord, match="layer0.ffn.w1"):
         load_checkpoint(str(path), vocab=vocab)
 
 
