@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import sys
 from typing import Optional, Sequence
 
 from . import util
-from .config import RunConfig
+from .config import RunConfig, parse_value
 from .corpus import (
     Document,
     Vocab,
@@ -26,7 +27,7 @@ from .corpus import (
     tagged_to_json,
     tokenize,
 )
-from .errors import ChronoError, MalformedRecord
+from .errors import ChronoError, LabelOutOfRange, MalformedRecord, UnknownTokenId
 from .evaluation import (
     DEFAULT_ABLATION,
     EvalSet,
@@ -35,6 +36,7 @@ from .evaluation import (
     mae,
     mean_average_precision,
     mrr,
+    predictions_from_picks,
     random_guess,
     run_ablation,
     similarity_rank,
@@ -48,6 +50,7 @@ from .model.training import (
     pretrain,
 )
 from .objectives import (
+    IGNORE_INDEX,
     LabelSpace,
     Objective,
     example_from_json,
@@ -140,14 +143,10 @@ def cmd_build_vocab(args, cfg: RunConfig) -> None:
     print(f"vocabulary of {vocab.size} tokens -> {out}")
 
 
-def cmd_build_dataset(args, cfg: RunConfig) -> None:
-    out = _need(args, cfg, "out")
-    vocab = Vocab.load(_need(args, cfg, "vocab"))
-    objectives = Objective.parse_set(args.objectives)
-    space = _space_or_fail(cfg) if Objective.DTP in objectives else cfg.label_space()
-    tagged = list(load_tagged(_need(args, cfg, "tagged")))
-    provider = example_provider(
-        tagged, vocab, objectives, space,
+def _provider(args, cfg: RunConfig, vocab: Vocab, objectives, space):
+    """Per-epoch example builds over --tagged, with the configured sampling."""
+    return example_provider(
+        list(load_tagged(_need(args, cfg, "tagged"))), vocab, objectives, space,
         temporal_mask_ratio=cfg.temporal_mask_ratio,
         mask_budget=cfg.mask_budget,
         replace_prob=cfg.replace_prob,
@@ -155,6 +154,14 @@ def cmd_build_dataset(args, cfg: RunConfig) -> None:
         lowercase=cfg.lowercase,
         max_len=cfg.model["max_len"],
     )
+
+
+def cmd_build_dataset(args, cfg: RunConfig) -> None:
+    out = _need(args, cfg, "out")
+    vocab = Vocab.load(_need(args, cfg, "vocab"))
+    objectives = parse_value("--objectives", Objective.parse_set, args.objectives)
+    space = _space_or_fail(cfg) if Objective.DTP in objectives else cfg.label_space()
+    provider = _provider(args, cfg, vocab, objectives, space)
     records = []
     for example in provider(args.epoch):
         if isinstance(example, PretrainExample):
@@ -165,24 +172,38 @@ def cmd_build_dataset(args, cfg: RunConfig) -> None:
     print(f"{len(records)} examples -> {out}")
 
 
-def _pretrain_dataset(args, cfg: RunConfig, vocab: Vocab, objectives):
-    """Static examples from --dataset, or per-epoch builds from --tagged."""
-    if args.dataset:
-        examples = [example_from_json(obj) for _, obj in util.read_jsonl(args.dataset)]
-        if not examples:
-            raise MalformedRecord(f"{args.dataset}: no examples")
-        return examples
-    tagged = list(load_tagged(_need(args, cfg, "tagged")))
-    space = cfg.label_space()
-    return example_provider(
-        tagged, vocab, objectives, space,
-        temporal_mask_ratio=cfg.temporal_mask_ratio,
-        mask_budget=cfg.mask_budget,
-        replace_prob=cfg.replace_prob,
-        seed=cfg.seed,
-        lowercase=cfg.lowercase,
-        max_len=cfg.model["max_len"],
-    )
+def _load_dataset(path: str, vocab: Vocab, k_dtp: Optional[int]) -> list:
+    """Static examples from a dataset file, checked against the model's heads.
+
+    k_dtp is None when the objective set has no dtp, and then a timestamp
+    label is an error rather than a head the model lacks.
+    """
+    examples = []
+    for lineno, obj in util.read_jsonl(path):
+        where = f"{path} line {lineno}"
+        try:
+            example = example_from_json(obj)
+        except ValueError as exc:
+            raise MalformedRecord(f"{where}: {exc}") from None
+        if not all(0 <= t < vocab.size for t in example.input_ids):
+            raise UnknownTokenId(f"{where}: token id outside 0..{vocab.size - 1}")
+        if isinstance(example, PretrainExample):
+            if not all(0 <= t < vocab.size
+                       for t in example.mlm_labels if t != IGNORE_INDEX):
+                raise LabelOutOfRange(
+                    f"{where}: mlm label outside 0..{vocab.size - 1}")
+            label = example.dtp_label
+            if label is not None and k_dtp is None:
+                raise MalformedRecord(
+                    f"{where}: timestamp label, but the objective set "
+                    "(--objectives or [train] objectives) has no dtp")
+            if label is not None and not 0 <= label < k_dtp:
+                raise LabelOutOfRange(
+                    f"{where}: dtp label {label} outside 0..{k_dtp - 1}")
+        examples.append(example)
+    if not examples:
+        raise MalformedRecord(f"{path}: no examples")
+    return examples
 
 
 def cmd_pretrain(args, cfg: RunConfig) -> None:
@@ -190,13 +211,16 @@ def cmd_pretrain(args, cfg: RunConfig) -> None:
     vocab = Vocab.load(_need(args, cfg, "vocab"))
     train_cfg = cfg.train_config()
     if args.objectives:
-        import dataclasses
-        train_cfg = dataclasses.replace(
-            train_cfg, objectives=Objective.parse_set(args.objectives))
+        train_cfg = dataclasses.replace(train_cfg, objectives=parse_value(
+            "--objectives", Objective.parse_set, args.objectives))
     k_dtp = None
     if Objective.DTP in train_cfg.objectives:
         k_dtp = _space_or_fail(cfg).size
-    dataset = _pretrain_dataset(args, cfg, vocab, train_cfg.objectives)
+    if args.dataset:
+        dataset = _load_dataset(args.dataset, vocab, k_dtp)
+    else:
+        dataset = _provider(args, cfg, vocab, train_cfg.objectives,
+                            cfg.label_space())
     model_cfg = cfg.model_config(vocab.size, k_dtp=k_dtp)
     ckpt, log = pretrain(dataset, vocab, model_cfg, train_cfg, seed=cfg.seed)
     save_checkpoint(ckpt, out)
@@ -233,7 +257,8 @@ def _metric_rows(name: str, predictions, granularities):
 def _parse_granularities(text: Optional[str], default: Granularity):
     if not text:
         return [default]
-    return [Granularity.parse(p) for p in text.split(",") if p.strip()]
+    return [parse_value("--granularities", Granularity.parse, p)
+            for p in text.split(",") if p.strip()]
 
 
 def cmd_eval(args, cfg: RunConfig) -> None:
@@ -251,9 +276,7 @@ def cmd_eval(args, cfg: RunConfig) -> None:
             predictions.append(Prediction(predicted, gold, g))
         if not predictions:
             raise MalformedRecord(f"{args.predictions}: no prediction records")
-        finest = min(p.granularity for p in predictions)
-        granularities = _parse_granularities(args.granularities, finest)
-        rows = _metric_rows(args.name, predictions, granularities)
+        default = min(p.granularity for p in predictions)
     else:
         vocab = Vocab.load(_need(args, cfg, "vocab"))
         space = _space_or_fail(cfg)
@@ -262,13 +285,10 @@ def cmd_eval(args, cfg: RunConfig) -> None:
         records = prepare_labeled(examples, space, vocab, cfg.lowercase,
                                   ckpt.config.max_len)
         picks = classify(ckpt, [ids for ids, _ in records])
-        g = space.granularity
-        predictions = [
-            Prediction(space.point_at(int(pick)), truncate(e.time, g), g)
-            for pick, e in zip(picks, examples)
-        ]
-        granularities = _parse_granularities(args.granularities, g)
-        rows = _metric_rows(args.name, predictions, granularities)
+        predictions = predictions_from_picks(picks, examples, space)
+        default = space.granularity
+    granularities = _parse_granularities(args.granularities, default)
+    rows = _metric_rows(args.name, predictions, granularities)
     _write_csv(out, ("configuration", "metric", "granularity", "value"), rows)
     print(f"{len(rows)} metric rows -> {out}")
 
@@ -302,8 +322,8 @@ def cmd_baseline(args, cfg: RunConfig) -> None:
 
 def cmd_synth(args, cfg: RunConfig) -> None:
     out = _need(args, cfg, "out")
-    start = TimePoint.parse(args.start)
-    end = TimePoint.parse(args.end)
+    start = parse_value("--start", TimePoint.parse, args.start)
+    end = parse_value("--end", TimePoint.parse, args.end)
     if args.events:
         space = LabelSpace(Granularity.YEAR, start, end)
         events = synth_events(args.n, space, noise=args.noise, seed=cfg.seed)
@@ -327,20 +347,22 @@ def cmd_ablate(args, cfg: RunConfig) -> None:
     train_examples = _load_labeled(_need(args, cfg, "eval-train"))
     test_examples = _load_labeled(_need(args, cfg, "eval-test"))
     eval_space = space
+    g = space.granularity
+    if args.eval_granularity:
+        g = parse_value("--eval-granularity", Granularity.parse,
+                        args.eval_granularity)
     if args.eval_start and args.eval_end:
-        g = (Granularity.parse(args.eval_granularity)
-             if args.eval_granularity else space.granularity)
         eval_space = LabelSpace(
             g,
-            truncate(TimePoint.parse(args.eval_start), g),
-            truncate(TimePoint.parse(args.eval_end), g),
+            truncate(parse_value("--eval-start", TimePoint.parse, args.eval_start), g),
+            truncate(parse_value("--eval-end", TimePoint.parse, args.eval_end), g),
         )
     elif args.eval_granularity:
-        g = Granularity.parse(args.eval_granularity)
         eval_space = LabelSpace(g, truncate(space.start, g), truncate(space.end, g))
     combos = DEFAULT_ABLATION
     if args.combinations:
-        combos = tuple(Objective.parse_set(c) for c in args.combinations.split(";"))
+        combos = tuple(parse_value("--combinations", Objective.parse_set, c)
+                       for c in args.combinations.split(";"))
     rows = run_ablation(
         tagged, vocab, space,
         model_cfg=cfg.model_config(vocab.size),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 from .errors import MalformedRecord
 from .model.config import ModelConfig, TrainConfig
@@ -51,6 +51,18 @@ _DEFAULTS: dict[str, dict[str, str]] = {
         "weight_decay": "0.0",
     },
 }
+
+
+T = TypeVar("T")
+
+
+def parse_value(name: str, parse: Callable[[str], T], text: str) -> T:
+    """parse(text), with a ValueError turned into MalformedRecord naming
+    the flag or config key the text came from."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise MalformedRecord(f"{name} {text!r}: {exc}") from None
 
 
 def _to_bool(text: str) -> bool:
@@ -122,19 +134,24 @@ class RunConfig:
                     "weight_decay": parser.getfloat("finetune", "weight_decay"),
                 },
             )
+            if parser.has_option("run", "seed"):
+                cfg.seed = parser.getint("run", "seed")
+            # Derived settings are checked here, not at first use.
+            cfg.label_space()
+            cfg.train_config()
+            cfg.finetune_config()
         except (ValueError, configparser.Error) as exc:
             raise MalformedRecord(f"bad config value: {exc}") from None
-        if parser.has_option("run", "seed"):
-            cfg.seed = parser.getint("run", "seed")
         return cfg
 
     def label_space(self) -> Optional[LabelSpace]:
         if self.labelspace_start is None or self.labelspace_end is None:
             return None
         return LabelSpace(
-            Granularity.parse(self.labelspace_granularity),
-            TimePoint.parse(self.labelspace_start),
-            TimePoint.parse(self.labelspace_end),
+            parse_value("[labelspace] granularity", Granularity.parse,
+                        self.labelspace_granularity),
+            parse_value("[labelspace] start", TimePoint.parse, self.labelspace_start),
+            parse_value("[labelspace] end", TimePoint.parse, self.labelspace_end),
         )
 
     def model_config(self, vocab_size: int, k_dtp: Optional[int] = None,
@@ -148,7 +165,8 @@ class RunConfig:
 
     def train_config(self) -> TrainConfig:
         spec = dict(self.train)
-        objectives = Objective.parse_set(spec.pop("objectives"))
+        objectives = parse_value("[train] objectives", Objective.parse_set,
+                                 spec.pop("objectives"))
         return TrainConfig(objectives=objectives, **spec)
 
     def finetune_config(self) -> TrainConfig:

@@ -35,6 +35,18 @@ class Prediction:
     granularity: Granularity
 
 
+def predictions_from_picks(
+    picks: Iterable[int],
+    examples: Sequence[LabeledExample],
+    space: LabelSpace,
+) -> list[Prediction]:
+    """Classifier picks (label-space indices) against the examples' gold
+    times, judged at the space's granularity."""
+    g = space.granularity
+    return [Prediction(space.point_at(int(pick)), truncate(e.time, g), g)
+            for pick, e in zip(picks, examples)]
+
+
 def accuracy(predictions: Sequence[Prediction]) -> float:
     """Percentage of predictions matching gold after truncation."""
     if not predictions:
@@ -255,12 +267,9 @@ def run_ablation(
             tuned, _ = finetune(ckpt, train_records, eval_set.space.size,
                                 finetune_cfg, seed=seed)
             picks = classify(tuned, [ids for ids, _ in test_records])
+            predictions = predictions_from_picks(picks, eval_set.test,
+                                                 eval_set.space)
             g = eval_set.space.granularity
-            predictions = [
-                Prediction(eval_set.space.point_at(int(pick)),
-                           truncate(example.time, g), g)
-                for pick, example in zip(picks, eval_set.test)
-            ]
             rows.append(AblationRow(name, eval_set.name, "acc", str(g),
                                     accuracy(predictions)))
             rows.append(AblationRow(name, eval_set.name, "mae", str(g),

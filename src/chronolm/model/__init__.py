@@ -16,18 +16,14 @@ from .training import (
     classify,
     encode,
     encode_batch,
-    dtp_loss,
     finetune,
-    joint_loss,
     labeled_input_ids,
-    mlm_loss,
     predict_dtp,
     prepare_labeled,
     pretrain,
     pretrain_batch,
     text_input_ids,
     tir_batch,
-    tir_loss,
 )
 
 __all__ = [
@@ -41,7 +37,6 @@ __all__ = [
     "adamw_step",
     "batch_losses",
     "classify",
-    "dtp_loss",
     "encode",
     "encode_batch",
     "encoder_backward",
@@ -49,10 +44,8 @@ __all__ = [
     "finetune",
     "grad_check",
     "init_params",
-    "joint_loss",
     "labeled_input_ids",
     "load_checkpoint",
-    "mlm_loss",
     "parameter_count",
     "parameter_shapes",
     "predict_dtp",
@@ -62,5 +55,4 @@ __all__ = [
     "save_checkpoint",
     "text_input_ids",
     "tir_batch",
-    "tir_loss",
 ]

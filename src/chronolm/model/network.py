@@ -340,16 +340,31 @@ class Batch:
     cls_labels: Optional[np.ndarray] = None
 
     def counts(self) -> dict[str, int]:
-        out = {"mlm": 0, "dtp": 0, "tir": 0, "cls": 0}
-        if self.mlm_labels is not None:
-            out["mlm"] = int((self.mlm_labels != IGNORE_INDEX).sum())
-        if self.dtp_labels is not None:
-            out["dtp"] = int((self.dtp_labels >= 0).sum())
-        if self.slots is not None:
-            out["tir"] = int(self.slots.shape[0])
-        if self.cls_labels is not None:
-            out["cls"] = int((self.cls_labels >= 0).sum())
-        return out
+        """Item count per head that has items in this batch."""
+        return {name: len(labels) for name, _, labels in _head_items(self)}
+
+
+def _head_items(batch: Batch) -> list[tuple[str, list, np.ndarray]]:
+    """What each head reads from the hidden states, in head order.
+
+    For every head with items in the batch: its name, the (example,
+    position) index arrays whose hidden states are concatenated into one
+    feature row per item, and the items' labels.  mlm reads each masked
+    position; dtp and cls read position 0 of each labelled example; tir
+    reads the left and then the right boundary of each slot.
+    """
+    items = []
+    if batch.mlm_labels is not None:
+        ex, pos = np.nonzero(batch.mlm_labels != IGNORE_INDEX)
+        items.append(("mlm", [(ex, pos)], batch.mlm_labels[ex, pos]))
+    for name, labels in (("dtp", batch.dtp_labels), ("cls", batch.cls_labels)):
+        if labels is not None:
+            ex = np.flatnonzero(labels >= 0)
+            items.append((name, [(ex, np.zeros_like(ex))], labels[ex]))
+    if batch.slots is not None:
+        ex, left, right, labels = batch.slots.T
+        items.append(("tir", [(ex, left), (ex, right)], labels))
+    return [item for item in items if len(item[2])]
 
 
 def batch_losses(
@@ -369,65 +384,26 @@ def batch_losses(
     batch's own counts, which yields plain mean losses.
     """
     hidden, cache = encoder_forward(params, cfg, batch.ids, train, rng)
-    counts = batch.counts()
+    items = _head_items(batch)
     if denoms is None:
-        denoms = {k: float(v) for k, v in counts.items()}
+        denoms = {name: float(len(labels)) for name, _, labels in items}
 
     parts: dict[str, tuple[float, int]] = {}
     dh = np.zeros_like(hidden) if want_grads else None
     grads: dict[str, np.ndarray] = {}
-
-    if batch.mlm_labels is not None and counts["mlm"]:
-        pos = np.argwhere(batch.mlm_labels != IGNORE_INDEX)
-        hp = hidden[pos[:, 0], pos[:, 1]]
-        logits = hp @ params["head.mlm.w"] + params["head.mlm.b"]
-        labels = batch.mlm_labels[pos[:, 0], pos[:, 1]]
-        ce_sum, dlogits = _ce_rows(logits, labels)
-        parts["mlm"] = (ce_sum, counts["mlm"])
+    d = cfg.d_model
+    for name, index, labels in items:
+        w, b = params[f"head.{name}.w"], params[f"head.{name}.b"]
+        feats = np.concatenate([hidden[ex, pos] for ex, pos in index], axis=-1)
+        ce_sum, dlogits = _ce_rows(feats @ w + b, labels)
+        parts[name] = (ce_sum, len(labels))
         if want_grads:
-            dlogits = dlogits.astype(hidden.dtype) / hidden.dtype.type(denoms["mlm"])
-            grads["head.mlm.w"] = hp.T @ dlogits
-            grads["head.mlm.b"] = dlogits.sum(axis=0)
-            np.add.at(dh, (pos[:, 0], pos[:, 1]), dlogits @ params["head.mlm.w"].T)
-
-    if batch.dtp_labels is not None and counts["dtp"]:
-        mask = batch.dtp_labels >= 0
-        hc = hidden[mask, 0]
-        logits = hc @ params["head.dtp.w"] + params["head.dtp.b"]
-        ce_sum, dlogits = _ce_rows(logits, batch.dtp_labels[mask])
-        parts["dtp"] = (ce_sum, counts["dtp"])
-        if want_grads:
-            dlogits = dlogits.astype(hidden.dtype) / hidden.dtype.type(denoms["dtp"])
-            grads["head.dtp.w"] = hc.T @ dlogits
-            grads["head.dtp.b"] = dlogits.sum(axis=0)
-            dh[mask, 0] += dlogits @ params["head.dtp.w"].T
-
-    if batch.cls_labels is not None and counts["cls"]:
-        mask = batch.cls_labels >= 0
-        hc = hidden[mask, 0]
-        logits = hc @ params["head.cls.w"] + params["head.cls.b"]
-        ce_sum, dlogits = _ce_rows(logits, batch.cls_labels[mask])
-        parts["cls"] = (ce_sum, counts["cls"])
-        if want_grads:
-            dlogits = dlogits.astype(hidden.dtype) / hidden.dtype.type(denoms["cls"])
-            grads["head.cls.w"] = hc.T @ dlogits
-            grads["head.cls.b"] = dlogits.sum(axis=0)
-            dh[mask, 0] += dlogits @ params["head.cls.w"].T
-
-    if batch.slots is not None and counts["tir"]:
-        ex, left, right, labels = (batch.slots[:, j] for j in range(4))
-        feats = np.concatenate([hidden[ex, left], hidden[ex, right]], axis=-1)
-        logits = feats @ params["head.tir.w"] + params["head.tir.b"]
-        ce_sum, dlogits = _ce_rows(logits, labels)
-        parts["tir"] = (ce_sum, counts["tir"])
-        if want_grads:
-            dlogits = dlogits.astype(hidden.dtype) / hidden.dtype.type(denoms["tir"])
-            grads["head.tir.w"] = feats.T @ dlogits
-            grads["head.tir.b"] = dlogits.sum(axis=0)
-            dfeats = dlogits @ params["head.tir.w"].T
-            d = cfg.d_model
-            np.add.at(dh, (ex, left), dfeats[:, :d])
-            np.add.at(dh, (ex, right), dfeats[:, d:])
+            dlogits = dlogits.astype(hidden.dtype) / hidden.dtype.type(denoms[name])
+            grads[f"head.{name}.w"] = feats.T @ dlogits
+            grads[f"head.{name}.b"] = dlogits.sum(axis=0)
+            dfeats = dlogits @ w.T
+            for j, (ex, pos) in enumerate(index):
+                np.add.at(dh, (ex, pos), dfeats[:, j * d:(j + 1) * d])
 
     if want_grads:
         grads.update(encoder_backward(params, cfg, cache, dh))

@@ -86,11 +86,10 @@ def _run_step(
     rng: np.random.Generator,
 ) -> dict[str, float]:
     """One optimizer step over an accumulation group of micro-batches."""
-    denoms = {"mlm": 0, "dtp": 0, "tir": 0, "cls": 0}
+    denoms: dict[str, float] = {}
     for b in micro_batches:
         for k, v in b.counts().items():
-            denoms[k] += v
-    denoms = {k: float(v) for k, v in denoms.items() if v}
+            denoms[k] = denoms.get(k, 0.0) + v
 
     totals: dict[str, float] = {}
     accum: Optional[dict[str, np.ndarray]] = None
@@ -315,73 +314,6 @@ def _forward_chunks(
         ids = _pad_rows([list(s) for s in chunk], PAD)
         hidden, _ = encoder_forward(checkpoint.params, checkpoint.config, ids)
         yield chunk, hidden
-
-
-def mlm_loss(
-    checkpoint: EncoderCheckpoint,
-    hidden: np.ndarray,
-    mlm_labels: Sequence[int],
-) -> tuple[float, np.ndarray]:
-    """Mean masked-token cross entropy and per-position vocabulary logits.
-
-    Positions labeled IGNORE_INDEX contribute nothing; with no labeled
-    positions the loss is zero.
-    """
-    logits = hidden @ checkpoint.params["head.mlm.w"] + checkpoint.params["head.mlm.b"]
-    labels = np.asarray(mlm_labels)
-    keep = labels != IGNORE_INDEX
-    if not keep.any():
-        return 0.0, logits
-    kept = logits[keep]
-    shifted = kept - kept.max(axis=-1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    ce = -logp[np.arange(kept.shape[0]), labels[keep]]
-    return float(ce.mean()), logits
-
-
-def dtp_loss(
-    checkpoint: EncoderCheckpoint,
-    h_first: np.ndarray,
-    label: int,
-) -> tuple[float, np.ndarray]:
-    """Timestamp-classification cross entropy from the first position's state."""
-    k = checkpoint.config.k_dtp
-    if k is None:
-        raise ValueError("model has no timestamp head")
-    if not 0 <= label < k:
-        raise LabelOutOfRange(f"label {label} outside 0..{k - 1}")
-    logits = h_first @ checkpoint.params["head.dtp.w"] + checkpoint.params["head.dtp.b"]
-    shifted = logits - logits.max()
-    logp = shifted - np.log(np.exp(shifted).sum())
-    return float(-logp[label]), logits
-
-
-def tir_loss(
-    checkpoint: EncoderCheckpoint,
-    hidden: np.ndarray,
-    slots: Sequence[tuple[int, int, int]],
-) -> tuple[float, np.ndarray]:
-    """Mean replaced-or-kept cross entropy over boundary-state pairs."""
-    if not slots:
-        return 0.0, np.zeros((0, 2), dtype=hidden.dtype)
-    arr = np.asarray([[s[0], s[1], s[2]] for s in slots], dtype=np.int64)
-    feats = np.concatenate([hidden[arr[:, 0]], hidden[arr[:, 1]]], axis=-1)
-    logits = feats @ checkpoint.params["head.tir.w"] + checkpoint.params["head.tir.b"]
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    ce = -logp[np.arange(arr.shape[0]), arr[:, 2]]
-    return float(ce.mean()), logits
-
-
-def joint_loss(
-    objectives: Iterable[Objective],
-    parts: dict[str, float],
-) -> float:
-    """Unweighted sum of the active objectives' losses, keyed by name."""
-    active = set(objectives)
-    if not active:
-        raise ValueError("objective set must be non-empty")
-    return float(sum(parts[o.value] for o in active))
 
 
 def _head_argmax(

@@ -511,16 +511,35 @@ def tir_example_to_json(example: TirExample) -> dict:
     }
 
 
+def _ints(values) -> tuple[int, ...]:
+    out = tuple(values)
+    if not all(type(v) is int for v in out):
+        raise ValueError(f"expected integers, got {values!r}")
+    return out
+
+
 def example_from_json(obj: dict) -> PretrainExample | TirExample:
-    if "slots" in obj:
-        return TirExample(
-            obj["doc_id"], tuple(obj["input_ids"]),
-            tuple(TirSlot(l, r, label) for l, r, label in obj["slots"]),
-        )
-    return PretrainExample(
-        obj["doc_id"], tuple(obj["input_ids"]), tuple(obj["mlm_labels"]),
-        dtp_label=obj.get("dtp_label"),
-    )
+    """Rebuild an example from its JSON form.
+
+    Raises ValueError for a missing key, a non-integer id or label, labels
+    that do not align with the ids, or a slot outside the sequence.
+    """
+    try:
+        ids = _ints(obj["input_ids"])
+        if "slots" in obj:
+            slots = tuple(TirSlot(*_ints(s)) for s in obj["slots"])
+            if any(s.boundary_right >= len(ids) for s in slots):
+                raise ValueError("slot boundary past the end of input_ids")
+            return TirExample(obj["doc_id"], ids, slots)
+        dtp = obj.get("dtp_label")
+        if dtp is not None:
+            _ints([dtp])
+        return PretrainExample(obj["doc_id"], ids, _ints(obj["mlm_labels"]),
+                               dtp_label=dtp)
+    except KeyError as exc:
+        raise ValueError(f"missing key {exc}") from None
+    except (IndexError, TypeError) as exc:
+        raise ValueError(str(exc)) from None
 
 
 def example_provider(

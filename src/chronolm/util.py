@@ -10,6 +10,8 @@ from typing import Any, Iterable, Iterator
 
 import numpy as np
 
+from .errors import MalformedRecord
+
 
 def mix(*parts: Any) -> int:
     """Mix arbitrary parts into a stable 64-bit seed.
@@ -66,4 +68,9 @@ def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            yield lineno, json.loads(line)
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedRecord(
+                    f"{path} line {lineno}: invalid JSON ({exc.msg})") from None
+            yield lineno, obj

@@ -148,3 +148,106 @@ def layer_norm_bwd(dy, cache):
 def dropout_mask(rng, shape, prob, dtype):
     keep = (rng.random(shape) >= prob).astype(dtype)
     return keep / dtype.type(1.0 - prob)
+
+
+# The four-block head code that drove ``batch_losses`` before its heads ran
+# from one table.  The table-driven version must reproduce its parts, item
+# counts and gradients bit for bit.  The encoder passes are handed in, so
+# this module still imports nothing from the package.
+
+IGNORE_INDEX = -100
+
+
+def batch_counts(batch) -> dict:
+    out = {"mlm": 0, "dtp": 0, "tir": 0, "cls": 0}
+    if batch.mlm_labels is not None:
+        out["mlm"] = int((batch.mlm_labels != IGNORE_INDEX).sum())
+    if batch.dtp_labels is not None:
+        out["dtp"] = int((batch.dtp_labels >= 0).sum())
+    if batch.slots is not None:
+        out["tir"] = int(batch.slots.shape[0])
+    if batch.cls_labels is not None:
+        out["cls"] = int((batch.cls_labels >= 0).sum())
+    return out
+
+
+def _ce_rows(logits, labels):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    logz = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    logp = shifted - logz
+    rows = np.arange(logits.shape[0])
+    ce_sum = float(-logp[rows, labels].sum())
+    dlogits = np.exp(logp)
+    dlogits[rows, labels] -= 1.0
+    return ce_sum, dlogits
+
+
+def batch_losses(params, cfg, batch, encoder_forward, encoder_backward,
+                 denoms=None, train=False, rng=None, want_grads=True):
+    hidden, cache = encoder_forward(params, cfg, batch.ids, train, rng)
+    counts = batch_counts(batch)
+    if denoms is None:
+        denoms = {k: float(v) for k, v in counts.items()}
+
+    parts = {}
+    dh = np.zeros_like(hidden) if want_grads else None
+    grads = {}
+
+    if batch.mlm_labels is not None and counts["mlm"]:
+        pos = np.argwhere(batch.mlm_labels != IGNORE_INDEX)
+        hp = hidden[pos[:, 0], pos[:, 1]]
+        logits = hp @ params["head.mlm.w"] + params["head.mlm.b"]
+        labels = batch.mlm_labels[pos[:, 0], pos[:, 1]]
+        ce_sum, dlogits = _ce_rows(logits, labels)
+        parts["mlm"] = (ce_sum, counts["mlm"])
+        if want_grads:
+            dlogits = dlogits.astype(hidden.dtype) / hidden.dtype.type(denoms["mlm"])
+            grads["head.mlm.w"] = hp.T @ dlogits
+            grads["head.mlm.b"] = dlogits.sum(axis=0)
+            np.add.at(dh, (pos[:, 0], pos[:, 1]), dlogits @ params["head.mlm.w"].T)
+
+    if batch.dtp_labels is not None and counts["dtp"]:
+        mask = batch.dtp_labels >= 0
+        hc = hidden[mask, 0]
+        logits = hc @ params["head.dtp.w"] + params["head.dtp.b"]
+        ce_sum, dlogits = _ce_rows(logits, batch.dtp_labels[mask])
+        parts["dtp"] = (ce_sum, counts["dtp"])
+        if want_grads:
+            dlogits = dlogits.astype(hidden.dtype) / hidden.dtype.type(denoms["dtp"])
+            grads["head.dtp.w"] = hc.T @ dlogits
+            grads["head.dtp.b"] = dlogits.sum(axis=0)
+            dh[mask, 0] += dlogits @ params["head.dtp.w"].T
+
+    if batch.cls_labels is not None and counts["cls"]:
+        mask = batch.cls_labels >= 0
+        hc = hidden[mask, 0]
+        logits = hc @ params["head.cls.w"] + params["head.cls.b"]
+        ce_sum, dlogits = _ce_rows(logits, batch.cls_labels[mask])
+        parts["cls"] = (ce_sum, counts["cls"])
+        if want_grads:
+            dlogits = dlogits.astype(hidden.dtype) / hidden.dtype.type(denoms["cls"])
+            grads["head.cls.w"] = hc.T @ dlogits
+            grads["head.cls.b"] = dlogits.sum(axis=0)
+            dh[mask, 0] += dlogits @ params["head.cls.w"].T
+
+    if batch.slots is not None and counts["tir"]:
+        ex, left, right, labels = (batch.slots[:, j] for j in range(4))
+        feats = np.concatenate([hidden[ex, left], hidden[ex, right]], axis=-1)
+        logits = feats @ params["head.tir.w"] + params["head.tir.b"]
+        ce_sum, dlogits = _ce_rows(logits, labels)
+        parts["tir"] = (ce_sum, counts["tir"])
+        if want_grads:
+            dlogits = dlogits.astype(hidden.dtype) / hidden.dtype.type(denoms["tir"])
+            grads["head.tir.w"] = feats.T @ dlogits
+            grads["head.tir.b"] = dlogits.sum(axis=0)
+            dfeats = dlogits @ params["head.tir.w"].T
+            d = cfg.d_model
+            np.add.at(dh, (ex, left), dfeats[:, :d])
+            np.add.at(dh, (ex, right), dfeats[:, d:])
+
+    if want_grads:
+        grads.update(encoder_backward(params, cfg, cache, dh))
+        for name, p in params.items():
+            if name not in grads:
+                grads[name] = np.zeros_like(p)
+    return parts, grads

@@ -136,6 +136,92 @@ def test_pretrain_static_dataset(workdir):
     assert (workdir / "static.ckpt").exists()
 
 
+def assert_one_error_line(rc, capsys, *needles):
+    """Exit 1 with a single "error:" line on stderr naming each needle."""
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    for needle in needles:
+        assert needle in lines[0]
+
+
+def _edit_masked(edit):
+    def apply(rec):
+        if "mlm_labels" in rec:
+            edit(rec)
+    return apply
+
+
+def _edit_slots(rec):
+    if "slots" in rec:
+        rec["slots"][0][1] = len(rec["input_ids"])
+
+
+BAD_DATASETS = {
+    "missing-key": (_edit_masked(lambda r: r.pop("mlm_labels")), "mlm_labels"),
+    "short-labels": (_edit_masked(lambda r: r["mlm_labels"].pop(1)), "align"),
+    "dtp-range": (_edit_masked(lambda r: r.update(dtp_label=500)), "500"),
+    "mlm-range": (_edit_masked(
+        lambda r: r["mlm_labels"].__setitem__(1, 10 ** 6)), "mlm label"),
+    "slot-range": (_edit_slots, "slot"),
+    "not-json": (None, "invalid JSON"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DATASETS))
+def test_pretrain_rejects_bad_dataset_line(workdir, tmp_path, capsys, case):
+    edit, needle = BAD_DATASETS[case]
+    lines = (workdir / "dataset.jsonl").read_text().splitlines()
+    masked = next(l for l in lines if "mlm_labels" in l)
+    tir = next(l for l in lines if "slots" in l)
+    bad = json.loads(masked if case != "slot-range" else tir)
+    if edit is None:
+        bad_line = "{broken"
+    else:
+        edit(bad)
+        bad_line = json.dumps(bad)
+    (tmp_path / "bad.jsonl").write_text(f"{masked}\n{bad_line}\n")
+    rc = run("pretrain", "--config", workdir / "run.cfg",
+             "--dataset", tmp_path / "bad.jsonl",
+             "--vocab", workdir / "vocab.txt",
+             "--objectives", "tamlm,dtp,tir",
+             "--out", tmp_path / "bad.ckpt")
+    assert_one_error_line(rc, capsys, "bad.jsonl line 2", needle)
+
+
+def test_pretrain_rejects_timestamp_labels_without_dtp(workdir, tmp_path, capsys):
+    rc = run("pretrain", "--config", workdir / "run.cfg",
+             "--dataset", workdir / "dataset.jsonl",
+             "--vocab", workdir / "vocab.txt",
+             "--objectives", "tamlm",
+             "--out", tmp_path / "bad.ckpt")
+    assert_one_error_line(rc, capsys, "line 1", "--objectives")
+
+
+@pytest.mark.parametrize("command", ["build-dataset", "pretrain"])
+def test_unknown_objective_flag(workdir, tmp_path, capsys, command):
+    rc = run(command, "--config", workdir / "run.cfg",
+             "--tagged", workdir / "tagged.jsonl",
+             "--vocab", workdir / "vocab.txt",
+             "--objectives", "tamlm,foo",
+             "--out", tmp_path / "out")
+    assert_one_error_line(rc, capsys, "--objectives", "foo")
+
+
+def test_synth_bad_start(tmp_path, capsys):
+    rc = run("synth", "--start", "19x", "--end", 1990,
+             "--out", tmp_path / "corpus.jsonl")
+    assert_one_error_line(rc, capsys, "--start", "19x")
+
+
+def test_bad_label_space_fails_at_load(tmp_path, capsys):
+    (tmp_path / "bad.cfg").write_text("[labelspace]\nstart = 1990-13\nend = 1991\n")
+    # tag needs no label space; the config is still rejected when loaded
+    rc = run("tag", "--config", tmp_path / "bad.cfg",
+             "--corpus", tmp_path / "absent.jsonl", "--out", tmp_path / "out")
+    assert_one_error_line(rc, capsys, "[labelspace] start", "1990-13")
+
+
 def test_pretrain_and_determinism(workdir):
     for out in ("enc.ckpt", "enc2.ckpt"):
         rc = run("pretrain", "--config", workdir / "run.cfg",
@@ -250,6 +336,17 @@ def test_ablate_minimal(workdir):
     assert rc == 0
     rows = read_csv(workdir / "ablation.csv")
     assert {r["configuration"] for r in rows} == {"mlm", "tamlm+dtp"}
+
+
+def test_ablate_bad_combinations(workdir, tmp_path, capsys):
+    rc = run("ablate", "--config", workdir / "run.cfg",
+             "--tagged", workdir / "tagged.jsonl",
+             "--vocab", workdir / "vocab.txt",
+             "--eval-train", workdir / "events.jsonl",
+             "--eval-test", workdir / "events.jsonl",
+             "--combinations", "mlm;mlm,tamlm",
+             "--out", tmp_path / "ablation.csv")
+    assert_one_error_line(rc, capsys, "--combinations", "mutually exclusive")
 
 
 def test_missing_input_is_reported(tmp_path, capsys):

@@ -24,21 +24,17 @@ from chronolm.model import (
     TrainConfig,
     adamw_step,
     batch_losses,
-    dtp_loss,
     encode,
     finetune,
     grad_check,
     init_params,
-    joint_loss,
     load_checkpoint,
-    mlm_loss,
     parameter_count,
     parameter_shapes,
     prepare_labeled,
     pretrain,
     save_checkpoint,
     text_input_ids,
-    tir_loss,
     LabeledExample,
 )
 from chronolm.model.gradcheck import TINY_CONFIG
@@ -295,6 +291,58 @@ def test_uniform_logits_give_log_k_losses():
     parts, _ = batch_losses(params, cfg, batch, want_grads=False)
     ce, count = parts["tir"]
     assert math.isclose(ce, math.log(2), rel_tol=1e-6)
+
+
+def _random_head_batches(cfg, rng):
+    """One mlm+dtp, one tir and one cls batch with random padding and labels."""
+    B, L = int(rng.integers(1, 5)), int(rng.integers(5, 11))
+    ids = rng.integers(len(SPECIAL_TOKENS), cfg.vocab_size, size=(B, L))
+    ids[:, 0] = CLS
+    for i in range(B):
+        end = int(rng.integers(3, L))
+        ids[i, end] = SEP
+        ids[i, end + 1:] = PAD
+    labels = np.where(rng.random((B, L)) < 0.3,
+                      rng.integers(0, cfg.vocab_size, size=(B, L)), IGNORE_INDEX)
+    labels[:, 0] = IGNORE_INDEX
+    dtp = rng.integers(-1, cfg.k_dtp, size=B)
+    slots = [[int(rng.integers(B)), left, int(rng.integers(left + 1, L)),
+              int(rng.integers(2))]
+             for left in rng.integers(1, L - 1, size=int(rng.integers(1, 5)))]
+    # Repeated boundaries: a duplicated slot and one starting at another's end.
+    slots.append(list(slots[0]))
+    if slots[0][2] < L - 1:
+        slots.append([slots[0][0], slots[0][2], L - 1, 1])
+    cls = rng.integers(-1, cfg.k_cls, size=B)
+    return [Batch(ids=ids, mlm_labels=labels, dtp_labels=dtp),
+            Batch(ids=ids, slots=np.array(slots, dtype=np.int64)),
+            Batch(ids=ids, cls_labels=cls)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("train", [False, True])
+def test_head_table_matches_four_block_oracle(dtype, train):
+    cfg = small_config(dropout=0.1, k_cls=6)
+    params = init_params(cfg, dtype=dtype)
+    shake = rng_from(5, "shake")
+    for p in params.values():
+        p += shake.normal(0.0, 0.05, size=p.shape).astype(dtype)
+    for seed in range(10):
+        for batch in _random_head_batches(cfg, rng_from(seed, "heads")):
+            counts = {k: v for k, v in oracles.batch_counts(batch).items() if v}
+            assert batch.counts() == counts
+            for denoms in (None, {k: 2.0 * v + 1 for k, v in counts.items()}):
+                parts, grads = batch_losses(
+                    params, cfg, batch, denoms=denoms, train=train,
+                    rng=rng_from(seed, "drop"))
+                want_parts, want_grads = oracles.batch_losses(
+                    params, cfg, batch, encoder_forward, encoder_backward,
+                    denoms=denoms, train=train, rng=rng_from(seed, "drop"))
+                assert list(parts.items()) == list(want_parts.items())
+                assert grads.keys() == want_grads.keys()
+                for name in want_grads:
+                    assert grads[name].dtype == want_grads[name].dtype, name
+                    assert np.array_equal(grads[name], want_grads[name]), name
 
 
 # ---------------------------------------------------------- gradient checks
@@ -602,9 +650,3 @@ def test_text_input_ids_unknown_maps_to_unk():
     vocab = Vocab(SPECIAL_TOKENS + ("hello",))
     ids = text_input_ids("hello stranger", vocab)
     assert ids == (CLS, 5, 1, SEP)
-
-
-def test_joint_loss_sums_components():
-    total = joint_loss(frozenset({Objective.TAMLM, Objective.DTP}),
-                       {"tamlm": 2.0, "dtp": 1.5})
-    assert total == 3.5
