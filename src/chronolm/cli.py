@@ -58,6 +58,7 @@ from .objectives import (
     pretrain_example_to_json,
     tir_example_to_json,
     PretrainExample,
+    TirExample,
 )
 from .synth import synth_corpus, synth_events
 from .temporal import Granularity, TimePoint, annotate, truncate
@@ -76,16 +77,27 @@ def _write_loss_log(path: str, rows) -> None:
                [(step, name, f"{value:.6f}") for step, name, value in rows])
 
 
+def _string(obj: dict, key: str) -> str:
+    value = obj[key]
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, not {value!r}")
+    return value
+
+
 def _load_labeled(path: str) -> list[LabeledExample]:
     out = []
     for lineno, obj in util.read_jsonl(path):
         try:
-            time = TimePoint.parse(obj["time"])
-            doc_ts = (TimePoint.parse(obj["doc_timestamp"])
+            if not isinstance(obj, dict):
+                raise ValueError("record is not a JSON object")
+            time = TimePoint.parse(_string(obj, "time"))
+            doc_ts = (TimePoint.parse(_string(obj, "doc_timestamp"))
                       if obj.get("doc_timestamp") else None)
+            doc_text = (_string(obj, "doc_text")
+                        if obj.get("doc_text") is not None else None)
             out.append(LabeledExample(
-                text=obj["text"], time=time,
-                doc_timestamp=doc_ts, doc_text=obj.get("doc_text"),
+                text=_string(obj, "text"), time=time,
+                doc_timestamp=doc_ts, doc_text=doc_text,
             ))
         except (KeyError, ValueError) as exc:
             raise MalformedRecord(f"{path} line {lineno}: {exc}") from None
@@ -172,11 +184,18 @@ def cmd_build_dataset(args, cfg: RunConfig) -> None:
     print(f"{len(records)} examples -> {out}")
 
 
-def _load_dataset(path: str, vocab: Vocab, k_dtp: Optional[int]) -> list:
+def _unused(where: str, what: str, need: str) -> MalformedRecord:
+    return MalformedRecord(f"{where}: {what}, but the objective set "
+                           f"(--objectives or [train] objectives) has no {need}")
+
+
+def _load_dataset(path: str, vocab: Vocab, objectives: frozenset[Objective],
+                  k_dtp: Optional[int]) -> list:
     """Static examples from a dataset file, checked against the model's heads.
 
-    k_dtp is None when the objective set has no dtp, and then a timestamp
-    label is an error rather than a head the model lacks.
+    Every example must feed an objective in the set: tir examples need tir,
+    masked labels need mlm or tamlm, and timestamp labels need dtp (k_dtp
+    is None without it).
     """
     examples = []
     for lineno, obj in util.read_jsonl(path):
@@ -187,16 +206,18 @@ def _load_dataset(path: str, vocab: Vocab, k_dtp: Optional[int]) -> list:
             raise MalformedRecord(f"{where}: {exc}") from None
         if not all(0 <= t < vocab.size for t in example.input_ids):
             raise UnknownTokenId(f"{where}: token id outside 0..{vocab.size - 1}")
+        if isinstance(example, TirExample) and Objective.TIR not in objectives:
+            raise _unused(where, "tir example", "tir")
         if isinstance(example, PretrainExample):
-            if not all(0 <= t < vocab.size
-                       for t in example.mlm_labels if t != IGNORE_INDEX):
+            masked = [t for t in example.mlm_labels if t != IGNORE_INDEX]
+            if masked and not objectives & {Objective.MLM, Objective.TAMLM}:
+                raise _unused(where, "masked labels", "mlm or tamlm")
+            if not all(0 <= t < vocab.size for t in masked):
                 raise LabelOutOfRange(
                     f"{where}: mlm label outside 0..{vocab.size - 1}")
             label = example.dtp_label
             if label is not None and k_dtp is None:
-                raise MalformedRecord(
-                    f"{where}: timestamp label, but the objective set "
-                    "(--objectives or [train] objectives) has no dtp")
+                raise _unused(where, "timestamp label", "dtp")
             if label is not None and not 0 <= label < k_dtp:
                 raise LabelOutOfRange(
                     f"{where}: dtp label {label} outside 0..{k_dtp - 1}")
@@ -217,7 +238,7 @@ def cmd_pretrain(args, cfg: RunConfig) -> None:
     if Objective.DTP in train_cfg.objectives:
         k_dtp = _space_or_fail(cfg).size
     if args.dataset:
-        dataset = _load_dataset(args.dataset, vocab, k_dtp)
+        dataset = _load_dataset(args.dataset, vocab, train_cfg.objectives, k_dtp)
     else:
         dataset = _provider(args, cfg, vocab, train_cfg.objectives,
                             cfg.label_space())

@@ -6,6 +6,14 @@ vocabulary logits, a timestamp classifier over the first position, and a
 two-way judgment over concatenated boundary states.  Backward passes are
 hand-written; gradients are exact and checked against finite differences.
 
+The heads read few positions: masked tokens, position 0 and expression
+boundaries.  So when the caller names the rows it reads (batch_losses
+does, as do the first-position classifiers), the last layer runs attention
+over every position (its keys and values need them all), and everything
+after attention (output projection, dropout, ln2, feed-forward and ln_f)
+on those rows only.  The backward scatters the rows' gradient back into
+the full stream just before the last layer's attention backward.
+
 Cross-entropy sums are returned unreduced together with their counts, so a
 caller can normalize over a whole gradient-accumulation group and make
 accumulated steps match concatenated-batch steps.
@@ -39,40 +47,35 @@ _NEG_BIG = -1e9
 # arguments.
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    # 0.5 * x * (1 + tanh(c * (x + G * x * x * x)))
+def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # 0.5 * x * (1 + t), with t = tanh(c * (x + G * x * x * x)).
+    # Returns the value and t, which gelu_grad takes back.
     t = x * x
     t *= x
     t *= _GELU_C
     t += x
     t *= _SQRT_2_OVER_PI
     np.tanh(t, out=t)
-    t += 1.0
     out = x * 0.5
-    out *= t
-    return out
+    out *= t + 1.0
+    return out, t
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
+def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     # 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * c * (1 + 3 * G * x * x),
-    # with t = tanh(c * (x + G * x * x * x))
-    x2 = x * x
-    t = x2 * x
-    t *= _GELU_C
-    t += x
-    t *= _SQRT_2_OVER_PI
-    np.tanh(t, out=t)
-    sech2 = t * t
-    np.subtract(1.0, sech2, out=sech2)
+    # with t as gelu returned it for the same x
+    tmp = t * t
+    np.subtract(1.0, tmp, out=tmp)
     out = x * 0.5
-    out *= sech2
+    out *= tmp
     out *= _SQRT_2_OVER_PI
-    x2 *= 3.0 * _GELU_C
-    x2 += 1.0
-    out *= x2
-    t += 1.0
-    t *= 0.5
-    out += t
+    np.multiply(x, x, out=tmp)
+    tmp *= 3.0 * _GELU_C
+    tmp += 1.0
+    out *= tmp
+    np.add(t, 1.0, out=tmp)
+    tmp *= 0.5
+    out += tmp
     return out
 
 
@@ -135,6 +138,7 @@ class EncoderCache:
     emb_drop: Optional[np.ndarray]
     layers: list[dict]
     ln_f: tuple
+    rows: Optional[np.ndarray] = None
 
 
 def validate_ids(cfg: ModelConfig, ids: np.ndarray) -> None:
@@ -152,6 +156,7 @@ def encoder_forward(
     ids: np.ndarray,
     train: bool = False,
     rng: Optional[np.random.Generator] = None,
+    rows: Optional[np.ndarray] = None,
 ):
     """Hidden states for a padded id batch.
 
@@ -161,6 +166,14 @@ def encoder_forward(
     Inside, the hidden stream is token-major, (batch * length, d_model), so
     every dense projection is a single 2-D GEMM; only attention works on
     (batch, heads, length, head_dim) views.
+
+    Without rows, hidden is (batch, length, d_model).  rows holds sorted,
+    unique flat indices into the batch * length stream; hidden is then
+    (len(rows), d_model), those rows only.  The last layer's attention
+    still runs over every position, since its keys and values need them
+    all, but its output projection, dropout, ln2, feed-forward and ln_f
+    run on the rows alone.  Dropout masks are drawn at the full shape
+    either way, so the rng stream does not depend on rows.
     """
     validate_ids(cfg, ids)
     if train and cfg.dropout > 0.0 and rng is None:
@@ -189,10 +202,15 @@ def encoder_forward(
         # (N, D) -> (B, nh, L, dh)
         return x.reshape(B, L, nh, dh).transpose(0, 2, 1, 3)
 
+    def drop_mask(keep: Optional[np.ndarray]) -> np.ndarray:
+        mask = _dropout_mask(rng, (N, D), cfg.dropout, h.dtype)
+        return mask if keep is None else mask[keep]
+
     layers = []
     for i in range(cfg.n_layers):
         p = f"layer{i}."
         cache: dict = {}
+        keep = rows if i == cfg.n_layers - 1 else None
 
         a, cache["ln1"] = layer_norm_fwd(h, params[p + "ln1.g"], params[p + "ln1.b"])
         cache["a"] = a
@@ -208,11 +226,13 @@ def encoder_forward(
         scores += key_bias
         probs = softmax(scores, axis=-1)
         ctx2 = (probs @ v).transpose(0, 2, 1, 3).reshape(N, D)
+        if keep is not None:
+            ctx2, h = ctx2[keep], h[keep]
         o = ctx2 @ params[p + "attn.wo"]
         o += params[p + "attn.bo"]
         cache.update(q=q, k=k, v=v, probs=probs, ctx2=ctx2)
         if dropout:
-            cache["attn_drop"] = _dropout_mask(rng, o.shape, cfg.dropout, h.dtype)
+            cache["attn_drop"] = drop_mask(keep)
             o *= cache["attn_drop"]
         h += o
 
@@ -220,18 +240,21 @@ def encoder_forward(
         cache["a2"] = a2
         z = a2 @ params[p + "ffn.w1"]
         z += params[p + "ffn.b1"]
-        u = gelu(z)
+        u, t = gelu(z)
         f = u @ params[p + "ffn.w2"]
         f += params[p + "ffn.b2"]
-        cache.update(z=z, u=u)
+        cache.update(z=z, u=u, t=t)
         if dropout:
-            cache["ffn_drop"] = _dropout_mask(rng, f.shape, cfg.dropout, h.dtype)
+            cache["ffn_drop"] = drop_mask(keep)
             f *= cache["ffn_drop"]
         h += f
         layers.append(cache)
 
+    if rows is not None and not cfg.n_layers:
+        h = h[rows]
     out, ln_f_cache = layer_norm_fwd(h, params["ln_f.g"], params["ln_f.b"])
-    return out.reshape(B, L, D), EncoderCache(ids, key_bias, emb_drop, layers, ln_f_cache)
+    cache = EncoderCache(ids, key_bias, emb_drop, layers, ln_f_cache, rows)
+    return (out if rows is not None else out.reshape(B, L, D)), cache
 
 
 def encoder_backward(
@@ -242,8 +265,9 @@ def encoder_backward(
 ) -> dict[str, np.ndarray]:
     """Parameter gradients given the gradient at the final hidden states.
 
-    dh has the (batch, length, d_model) shape of the forward's hidden
-    states; neither it nor the cache is modified.
+    dh has the shape of the forward's hidden states: (batch, length,
+    d_model), or (len(rows), d_model) for a forward over rows.  Neither it
+    nor the cache is modified.
     """
     dtype = params["emb.tok"].dtype
     grads: dict[str, np.ndarray] = {}
@@ -259,7 +283,8 @@ def encoder_backward(
 
     # dstream is a fresh buffer from here on, so it is updated in place.
     dstream, grads["ln_f.g"], grads["ln_f.b"] = layer_norm_bwd(
-        dh.reshape(N, D), cache.ln_f)
+        dh.reshape(-1, D), cache.ln_f)
+    rows = cache.rows
 
     for i in reversed(range(cfg.n_layers)):
         p = f"layer{i}."
@@ -269,7 +294,7 @@ def encoder_backward(
         du = df @ params[p + "ffn.w2"].T
         grads[p + "ffn.w2"] = c["u"].T @ df
         grads[p + "ffn.b2"] = df.sum(axis=0)
-        dz = gelu_grad(c["z"])
+        dz = gelu_grad(c["z"], c["t"])
         dz *= du
         da2 = dz @ params[p + "ffn.w1"].T
         grads[p + "ffn.w1"] = c["a2"].T @ dz
@@ -281,6 +306,10 @@ def encoder_backward(
         dctx2 = do @ params[p + "attn.wo"].T
         grads[p + "attn.wo"] = c["ctx2"].T @ do
         grads[p + "attn.bo"] = do.sum(axis=0)
+        if rows is not None and i == cfg.n_layers - 1:
+            # Attention read every position: back to the full stream.
+            dctx2 = _scatter_rows(dctx2, rows, N)
+            dstream = _scatter_rows(dstream, rows, N)
         dctx = dctx2.reshape(B, L, nh, dh_dim).transpose(0, 2, 1, 3)
         probs = c["probs"]
         dv = probs.transpose(0, 1, 3, 2) @ dctx
@@ -302,6 +331,8 @@ def encoder_backward(
         dres, grads[p + "ln1.g"], grads[p + "ln1.b"] = layer_norm_bwd(da, c["ln1"])
         dstream += dres
 
+    if rows is not None and not cfg.n_layers:
+        dstream = _scatter_rows(dstream, rows, N)
     if cache.emb_drop is not None:
         dstream *= cache.emb_drop
 
@@ -310,6 +341,13 @@ def encoder_backward(
     grads["emb.tok"] = np.zeros_like(params["emb.tok"])
     np.add.at(grads["emb.tok"], cache.ids.reshape(N), dstream)
     return grads
+
+
+def _scatter_rows(x: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """x's rows at the given indices of an otherwise zero (n, width) array."""
+    out = np.zeros((n, x.shape[1]), dtype=x.dtype)
+    out[rows] = x
+    return out
 
 
 def _ce_rows(logits: np.ndarray, labels: np.ndarray):
@@ -347,23 +385,25 @@ class Batch:
 def _head_items(batch: Batch) -> list[tuple[str, list, np.ndarray]]:
     """What each head reads from the hidden states, in head order.
 
-    For every head with items in the batch: its name, the (example,
-    position) index arrays whose hidden states are concatenated into one
-    feature row per item, and the items' labels.  mlm reads each masked
+    For every head with items in the batch: its name, the position arrays
+    whose hidden states are concatenated into one feature row per item,
+    and the items' labels.  A position is a flat index, example * length +
+    position, into the batch's token stream.  mlm reads each masked
     position; dtp and cls read position 0 of each labelled example; tir
     reads the left and then the right boundary of each slot.
     """
+    L = batch.ids.shape[1]
     items = []
     if batch.mlm_labels is not None:
-        ex, pos = np.nonzero(batch.mlm_labels != IGNORE_INDEX)
-        items.append(("mlm", [(ex, pos)], batch.mlm_labels[ex, pos]))
+        flat = np.flatnonzero(batch.mlm_labels != IGNORE_INDEX)
+        items.append(("mlm", [flat], batch.mlm_labels.reshape(-1)[flat]))
     for name, labels in (("dtp", batch.dtp_labels), ("cls", batch.cls_labels)):
         if labels is not None:
             ex = np.flatnonzero(labels >= 0)
-            items.append((name, [(ex, np.zeros_like(ex))], labels[ex]))
+            items.append((name, [ex * L], labels[ex]))
     if batch.slots is not None:
         ex, left, right, labels = batch.slots.T
-        items.append(("tir", [(ex, left), (ex, right)], labels))
+        items.append(("tir", [ex * L + left, ex * L + right], labels))
     return [item for item in items if len(item[2])]
 
 
@@ -382,19 +422,31 @@ def batch_losses(
     (cross-entropy sum, item count) pair.  Gradients are of the quantity
     sum(component sums / denoms[component]); denoms defaults to this
     batch's own counts, which yields plain mean losses.
+
+    The encoder computes only the hidden rows some head reads: the union
+    of the heads' (example, position) pairs.
     """
-    hidden, cache = encoder_forward(params, cfg, batch.ids, train, rng)
     items = _head_items(batch)
     if denoms is None:
         denoms = {name: float(len(labels)) for name, _, labels in items}
+    # rows is empty when no head has items; at maps each position to its row.
+    flat = [pos for _, index, _ in items for pos in index]
+    rows, at = np.unique(np.concatenate([np.zeros(0, np.int64), *flat]),
+                         return_inverse=True)
+    hidden, cache = encoder_forward(params, cfg, batch.ids, train, rng, rows=rows)
 
     parts: dict[str, tuple[float, int]] = {}
     dh = np.zeros_like(hidden) if want_grads else None
     grads: dict[str, np.ndarray] = {}
     d = cfg.d_model
+    start = 0
     for name, index, labels in items:
+        n, k = len(labels), len(index)
+        # head_rows[j, m]: the hidden row of item m's j-th position.
+        head_rows = at[start: start + k * n].reshape(k, n)
+        start += k * n
         w, b = params[f"head.{name}.w"], params[f"head.{name}.b"]
-        feats = np.concatenate([hidden[ex, pos] for ex, pos in index], axis=-1)
+        feats = hidden[head_rows.T].reshape(n, k * d)
         ce_sum, dlogits = _ce_rows(feats @ w + b, labels)
         parts[name] = (ce_sum, len(labels))
         if want_grads:
@@ -402,8 +454,8 @@ def batch_losses(
             grads[f"head.{name}.w"] = feats.T @ dlogits
             grads[f"head.{name}.b"] = dlogits.sum(axis=0)
             dfeats = dlogits @ w.T
-            for j, (ex, pos) in enumerate(index):
-                np.add.at(dh, (ex, pos), dfeats[:, j * d:(j + 1) * d])
+            for j, r in enumerate(head_rows):
+                np.add.at(dh, r, dfeats[:, j * d:(j + 1) * d])
 
     if want_grads:
         grads.update(encoder_backward(params, cfg, cache, dh))

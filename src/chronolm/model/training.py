@@ -308,11 +308,18 @@ def _forward_chunks(
     checkpoint: EncoderCheckpoint,
     sequences: Sequence[Sequence[int]],
     batch_size: int,
+    first_only: bool = False,
 ) -> Iterator[tuple[list[Sequence[int]], np.ndarray]]:
-    """Inference-mode forwards over padded chunks: (chunk, hidden) pairs."""
+    """Inference-mode forwards over padded chunks: (chunk, hidden) pairs.
+
+    hidden is (chunk, length, d_model), or with first_only the
+    (chunk, d_model) states at position 0 alone.
+    """
     for chunk in _chunks(list(sequences), batch_size):
         ids = _pad_rows([list(s) for s in chunk], PAD)
-        hidden, _ = encoder_forward(checkpoint.params, checkpoint.config, ids)
+        rows = np.arange(0, ids.size, ids.shape[1]) if first_only else None
+        hidden, _ = encoder_forward(checkpoint.params, checkpoint.config, ids,
+                                    rows=rows)
         yield chunk, hidden
 
 
@@ -325,8 +332,9 @@ def _head_argmax(
     """Argmax classes of a first-position head over many sequences."""
     w = checkpoint.params[f"head.{head}.w"]
     b = checkpoint.params[f"head.{head}.b"]
-    out = [np.argmax(hidden[:, 0] @ w + b, axis=-1)
-           for _, hidden in _forward_chunks(checkpoint, sequences, batch_size)]
+    out = [np.argmax(first @ w + b, axis=-1)
+           for _, first in _forward_chunks(checkpoint, sequences, batch_size,
+                                           first_only=True)]
     return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
 
 

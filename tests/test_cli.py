@@ -198,6 +198,22 @@ def test_pretrain_rejects_timestamp_labels_without_dtp(workdir, tmp_path, capsys
     assert_one_error_line(rc, capsys, "line 1", "--objectives")
 
 
+@pytest.mark.parametrize("objectives,needle", [
+    ("tamlm,dtp", "tir example"),
+    ("dtp,tir", "masked labels"),
+])
+def test_pretrain_rejects_examples_outside_objective_set(
+        workdir, tmp_path, capsys, objectives, needle):
+    # dataset.jsonl was built for tamlm,dtp,tir.
+    rc = run("pretrain", "--config", workdir / "run.cfg",
+             "--dataset", workdir / "dataset.jsonl",
+             "--vocab", workdir / "vocab.txt",
+             "--objectives", objectives,
+             "--out", tmp_path / "bad.ckpt")
+    assert_one_error_line(rc, capsys, "dataset.jsonl line", needle, "--objectives")
+    assert not (tmp_path / "bad.ckpt").exists()
+
+
 @pytest.mark.parametrize("command", ["build-dataset", "pretrain"])
 def test_unknown_objective_flag(workdir, tmp_path, capsys, command):
     rc = run(command, "--config", workdir / "run.cfg",
@@ -317,6 +333,29 @@ def test_baseline(workdir):
     rows = {r["metric"]: float(r["value"])
             for r in read_csv(workdir / "base.csv")}
     assert 5.0 < rows["acc"] < 40.0
+
+
+BAD_LABELED = {
+    "not-object": ("[1, 2]", "not a JSON object"),
+    "time-not-string": ('{"text": "in 1990", "time": 1990}', "time must be a string"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LABELED))
+@pytest.mark.parametrize("command", ["baseline", "finetune"])
+def test_labeled_data_rejects_bad_record(workdir, tmp_path, capsys, command, case):
+    bad_line, needle = BAD_LABELED[case]
+    good = (workdir / "events.jsonl").read_text().splitlines()[0]
+    (tmp_path / "bad.jsonl").write_text(f"{good}\n{bad_line}\n")
+    if command == "baseline":
+        flags = ["--data", tmp_path / "bad.jsonl", "--trials", 10]
+    else:
+        flags = ["--train-data", tmp_path / "bad.jsonl",
+                 "--checkpoint", workdir / "enc.ckpt",
+                 "--vocab", workdir / "vocab.txt"]
+    rc = run(command, "--config", workdir / "year.cfg", *flags,
+             "--out", tmp_path / "out")
+    assert_one_error_line(rc, capsys, "bad.jsonl line 2", needle)
 
 
 def test_ablate_minimal(workdir):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,13 +25,16 @@ from chronolm.model import (
     TrainConfig,
     adamw_step,
     batch_losses,
+    classify,
     encode,
+    encode_batch,
     finetune,
     grad_check,
     init_params,
     load_checkpoint,
     parameter_count,
     parameter_shapes,
+    predict_dtp,
     prepare_labeled,
     pretrain,
     save_checkpoint,
@@ -127,7 +131,7 @@ def gelu_reference(x):
 
 def test_gelu_matches_float64_reference():
     x = np.linspace(-10.0, 10.0, 20001).astype(np.float32)
-    y = gelu(x)
+    y, _ = gelu(x)
     assert y.dtype == np.float32
     np.testing.assert_allclose(y, gelu_reference(x.astype(np.float64)),
                                rtol=F32_TOL, atol=F32_TOL)
@@ -138,7 +142,7 @@ def test_gelu_grad_matches_central_difference():
     x64 = x.astype(np.float64)
     h = 1e-5
     numeric = (gelu_reference(x64 + h) - gelu_reference(x64 - h)) / (2 * h)
-    g = gelu_grad(x)
+    g = gelu_grad(x, gelu(x)[1])
     assert g.dtype == np.float32
     np.testing.assert_allclose(g, numeric, rtol=F32_TOL, atol=F32_TOL)
 
@@ -148,8 +152,9 @@ def test_gelu_kernels_bit_exact_to_plain_expressions():
     rows = (rng_from(0, "gelu").standard_normal((64, 128)) * 3).astype(np.float32)
     for x in (ramp, rows):
         before = x.copy()
-        assert np.array_equal(gelu(x), oracles.gelu(x))
-        assert np.array_equal(gelu_grad(x), oracles.gelu_grad(x))
+        y, t = gelu(x)
+        assert np.array_equal(y, oracles.gelu(x))
+        assert np.array_equal(gelu_grad(x, t), oracles.gelu_grad(x))
         assert np.array_equal(x, before)
 
 
@@ -319,6 +324,41 @@ def _random_head_batches(cfg, rng):
             Batch(ids=ids, cls_labels=cls)]
 
 
+def _read_rows(batch):
+    """Flat (example * length + position) indices of every row a head reads."""
+    L = batch.ids.shape[1]
+    read = set()
+    if batch.mlm_labels is not None:
+        read |= {int(e) * L + int(p)
+                 for e, p in zip(*np.nonzero(batch.mlm_labels != IGNORE_INDEX))}
+    for labels in (batch.dtp_labels, batch.cls_labels):
+        if labels is not None:
+            read |= {int(e) * L for e in np.flatnonzero(labels >= 0)}
+    if batch.slots is not None:
+        for e, left, right, _ in batch.slots:
+            read |= {int(e) * L + int(left), int(e) * L + int(right)}
+    return np.array(sorted(read), dtype=np.int64)
+
+
+def _row_encoder_pair(rows):
+    """encoder_forward/backward over rows only, shaped like the full pair.
+
+    The forward scatters the rows into an otherwise zero (B, L, D) hidden;
+    the backward gathers dh at the rows.
+    """
+    def forward(params, cfg, ids, train, rng):
+        part, cache = encoder_forward(params, cfg, ids, train, rng, rows=rows)
+        hidden = np.zeros((ids.size, cfg.d_model), dtype=part.dtype)
+        hidden[rows] = part
+        return hidden.reshape(*ids.shape, cfg.d_model), cache
+
+    def backward(params, cfg, cache, dh):
+        return encoder_backward(params, cfg, cache,
+                                dh.reshape(-1, cfg.d_model)[rows])
+
+    return forward, backward
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("train", [False, True])
 def test_head_table_matches_four_block_oracle(dtype, train):
@@ -336,13 +376,110 @@ def test_head_table_matches_four_block_oracle(dtype, train):
                     params, cfg, batch, denoms=denoms, train=train,
                     rng=rng_from(seed, "drop"))
                 want_parts, want_grads = oracles.batch_losses(
-                    params, cfg, batch, encoder_forward, encoder_backward,
+                    params, cfg, batch, *_row_encoder_pair(_read_rows(batch)),
                     denoms=denoms, train=train, rng=rng_from(seed, "drop"))
                 assert list(parts.items()) == list(want_parts.items())
                 assert grads.keys() == want_grads.keys()
                 for name in want_grads:
                     assert grads[name].dtype == want_grads[name].dtype, name
                     assert np.array_equal(grads[name], want_grads[name]), name
+
+
+@pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-5), (np.float64, 1e-10)])
+@pytest.mark.parametrize("train", [False, True])
+@pytest.mark.parametrize("n_layers", [2, 1, 0])
+def test_row_pruned_heads_match_full_encoder(dtype, rtol, train, n_layers):
+    # The last layer runs on the rows the heads read; the full encoder runs
+    # on every row.  Only GEMM rounding may tell the two apart.  With no
+    # layers, the rows are picked before ln_f.
+    cfg = small_config(dropout=0.1, k_cls=6, n_layers=n_layers)
+    params = init_params(cfg, dtype=dtype)
+    shake = rng_from(5, "shake")
+    for p in params.values():
+        p += shake.normal(0.0, 0.05, size=p.shape).astype(dtype)
+    for seed in range(10):
+        for batch in _random_head_batches(cfg, rng_from(seed, "heads")):
+            parts, grads = batch_losses(params, cfg, batch, train=train,
+                                        rng=rng_from(seed, "drop"))
+            want_parts, want_grads = oracles.batch_losses(
+                params, cfg, batch, encoder_forward, encoder_backward,
+                train=train, rng=rng_from(seed, "drop"))
+            assert parts.keys() == want_parts.keys()
+            for name, (ce, count) in want_parts.items():
+                assert parts[name][1] == count
+                assert math.isclose(parts[name][0], ce, rel_tol=rtol)
+            assert grads.keys() == want_grads.keys()
+            # Some gradients, such as the key biases', are zero up to
+            # rounding, so the absolute floor follows the largest gradient.
+            scale = max(np.abs(g).max() for g in want_grads.values())
+            for name, want in want_grads.items():
+                assert grads[name].dtype == want.dtype, name
+                np.testing.assert_allclose(grads[name], want, rtol=rtol,
+                                           atol=rtol * scale, err_msg=name)
+
+
+def test_batch_without_head_items_gives_zero_gradients():
+    cfg = small_config(dropout=0.1)
+    params = init_params(cfg)
+    ids = np.array([[CLS, 7, 8, SEP, PAD], [CLS, 9, 10, 11, SEP]])
+    for batch in (Batch(ids=ids, slots=np.zeros((0, 4), dtype=np.int64)),
+                  Batch(ids=ids, mlm_labels=np.full_like(ids, IGNORE_INDEX)),
+                  Batch(ids=ids, dtp_labels=np.array([-1, -1]))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parts, grads = batch_losses(params, cfg, batch, train=True,
+                                        rng=rng_from(0, "empty"))
+        _, want = oracles.batch_losses(
+            params, cfg, batch, encoder_forward, encoder_backward,
+            train=True, rng=rng_from(0, "empty"))
+        assert parts == {}
+        assert grads.keys() == want.keys() == params.keys()
+        for name, g in grads.items():
+            assert not g.any(), name
+            assert np.array_equal(g, want[name]), name
+
+
+def test_classify_matches_full_forward_argmax():
+    vocab, _ = tiny_vocab_and_examples()
+    cfg = ModelConfig(vocab_size=vocab.size, max_len=8, d_model=16,
+                      n_layers=2, n_heads=2, d_ff=32, k_dtp=5, k_cls=4, seed=3)
+    params = init_params(cfg)
+    shake = rng_from(1, "shake")
+    for p in params.values():
+        p += shake.normal(0.0, 0.5, size=p.shape).astype(p.dtype)
+    ckpt = EncoderCheckpoint(cfg, params, vocab.content_hash(), vocab)
+    gen = rng_from(2, "sequences")
+    sequences = [(CLS, *gen.integers(len(SPECIAL_TOKENS), vocab.size,
+                                     size=int(gen.integers(1, 7))), SEP)
+                 for _ in range(23)]
+    for head, predict in (("cls", classify), ("dtp", predict_dtp)):
+        want = []
+        for start in range(0, len(sequences), 5):
+            chunk = sequences[start:start + 5]
+            ids = np.full((len(chunk), max(map(len, chunk))), PAD)
+            for i, seq in enumerate(chunk):
+                ids[i, :len(seq)] = seq
+            hidden, _ = encoder_forward(params, cfg, ids)
+            logits = hidden[:, 0] @ params[f"head.{head}.w"] + params[f"head.{head}.b"]
+            want += list(np.argmax(logits, axis=-1))
+        got = predict(ckpt, sequences, batch_size=5)
+        assert list(got) == want
+        assert len(set(want)) > 1
+
+
+def test_encode_batch_returns_every_position():
+    vocab, _ = tiny_vocab_and_examples()
+    cfg = ModelConfig(vocab_size=vocab.size, max_len=8, d_model=16,
+                      n_layers=2, n_heads=2, d_ff=32, seed=3)
+    ckpt = EncoderCheckpoint.fresh(cfg, vocab)
+    sequences = [(CLS, 5, 6, 7, SEP), (CLS, 8, SEP), (CLS, 6, 5, SEP)]
+    ids = np.array([[CLS, 5, 6, 7, SEP], [CLS, 8, SEP, PAD, PAD],
+                    [CLS, 6, 5, SEP, PAD]])
+    hidden, _ = encoder_forward(ckpt.params, cfg, ids)
+    got = encode_batch(ckpt, sequences, batch_size=3)
+    assert [g.shape for g in got] == [(5, 16), (3, 16), (4, 16)]
+    for i, g in enumerate(got):
+        assert np.array_equal(g, hidden[i, :len(sequences[i])])
 
 
 # ---------------------------------------------------------- gradient checks
