@@ -13,6 +13,7 @@ import configparser
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, TypeVar
 
+from .corpus import SPECIAL_TOKENS
 from .errors import MalformedRecord
 from .model.config import ModelConfig, TrainConfig
 from .objectives import LabelSpace, Objective
@@ -136,8 +137,11 @@ class RunConfig:
             )
             if parser.has_option("run", "seed"):
                 cfg.seed = parser.getint("run", "seed")
-            # Derived settings are checked here, not at first use.
+            # Derived settings are checked here, not at first use.  [model]
+            # is checked with the smallest vocabulary ModelConfig accepts,
+            # since the real one is only known when a command loads it.
             cfg.label_space()
+            cfg.model_config(vocab_size=len(SPECIAL_TOKENS) + 1)
             cfg.train_config()
             cfg.finetune_config()
         except (ValueError, configparser.Error) as exc:

@@ -272,15 +272,20 @@ def expression_to_json(expr: TemporalExpression) -> dict:
 
 
 def expression_from_json(obj: dict) -> TemporalExpression:
+    """Inverse of expression_to_json; raises ValueError on a malformed record."""
+    if not isinstance(obj, dict):
+        raise ValueError("expression is not an object")
+    for key in ("start", "end", "surface"):
+        if key not in obj:
+            raise ValueError(f"expression missing field {key!r}")
+    start, end, surface = obj["start"], obj["end"], obj["surface"]
     normalized = obj.get("normalized")
+    if type(start) is not int or type(end) is not int or not isinstance(surface, str):
+        raise ValueError("expression start/end must be integers and surface a string")
+    if normalized is not None and not isinstance(normalized, str):
+        raise ValueError(f"expression normalized must be a string, not {normalized!r}")
     point = None if normalized is None else TimePoint.parse(normalized)
-    return TemporalExpression(
-        start=obj["start"],
-        end=obj["end"],
-        surface=obj["surface"],
-        normalized=point,
-        resolvable=point is not None,
-    )
+    return TemporalExpression(start, end, surface, point, point is not None)
 
 
 def tagged_to_json(doc: Document, expressions: Sequence[TemporalExpression]) -> dict:
@@ -299,14 +304,19 @@ def load_tagged(path: str) -> Iterator[tuple[Document, list[TemporalExpression]]
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path} line {lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise MalformedRecord(f"line {lineno}: invalid JSON ({exc.msg})") from None
-            if "expressions" not in obj or "text" not in obj:
-                raise MalformedRecord(f"line {lineno}: not a tagged record")
+                raise MalformedRecord(f"{where}: invalid JSON ({exc.msg})") from None
+            if (not isinstance(obj, dict) or "text" not in obj
+                    or not isinstance(obj.get("expressions"), list)):
+                raise MalformedRecord(f"{where}: not a tagged record")
             doc = parse_document(obj, lineno)
-            exprs = [expression_from_json(e) for e in obj["expressions"]]
+            try:
+                exprs = [expression_from_json(e) for e in obj["expressions"]]
+            except ValueError as exc:
+                raise MalformedRecord(f"{where}: {exc}") from None
             count += 1
             yield doc, exprs
     if count == 0:

@@ -33,6 +33,8 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.vocab_size < 6:
             raise ValueError("vocab_size must cover the special tokens")
+        if self.n_heads < 1:
+            raise ValueError("n_heads must be at least 1")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must divide evenly into heads")
         if self.max_len < 3:

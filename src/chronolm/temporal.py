@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date, timedelta
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import GranularityRefinementError, UnresolvableExpression
 
@@ -220,6 +220,11 @@ def _require_day_anchor(anchor: TimePoint) -> date:
     return anchor.to_date()
 
 
+def _on_calendar(point: TimePoint) -> Optional[TimePoint]:
+    """The point, or None when its year falls outside 1 through 9999."""
+    return point if 1 <= point.year <= 9999 else None
+
+
 def _safe_day(d: date, delta_days: int) -> Optional[TimePoint]:
     try:
         return TimePoint.from_date(d + timedelta(days=delta_days))
@@ -227,15 +232,15 @@ def _safe_day(d: date, delta_days: int) -> Optional[TimePoint]:
         return None
 
 
-def _last_weekday(anchor: date, target: int) -> TimePoint:
+def _last_weekday(anchor: date, target: int) -> Optional[TimePoint]:
     # Most recent such weekday strictly before the anchor.
     back = (anchor.weekday() - target) % 7
-    return TimePoint.from_date(anchor - timedelta(days=back or 7))
+    return _safe_day(anchor, -(back or 7))
 
 
-def _next_weekday(anchor: date, target: int) -> TimePoint:
+def _next_weekday(anchor: date, target: int) -> Optional[TimePoint]:
     forward = (target - anchor.weekday()) % 7
-    return TimePoint.from_date(anchor + timedelta(days=forward or 7))
+    return _safe_day(anchor, forward or 7)
 
 
 def _resolve_iso(m: re.Match, anchor: TimePoint) -> Optional[TimePoint]:
@@ -266,9 +271,9 @@ def _shift(anchor: TimePoint, n: int, unit: str) -> Optional[TimePoint]:
     if unit == "week":
         return _safe_day(base, 7 * n)
     if unit == "month":
-        return point_from_index(time_index(anchor, Granularity.MONTH) + n,
-                                Granularity.MONTH)
-    return TimePoint(anchor.year + n)
+        return _on_calendar(point_from_index(
+            time_index(anchor, Granularity.MONTH) + n, Granularity.MONTH))
+    return _on_calendar(TimePoint(anchor.year + n))
 
 
 def _resolve_count_ago(m: re.Match, anchor: TimePoint) -> Optional[TimePoint]:
@@ -290,7 +295,7 @@ def _resolve_last_next(m: re.Match, anchor: TimePoint) -> Optional[TimePoint]:
             year = anchor.year - (1 if target >= anchor.month else 0)
         else:
             year = anchor.year + (1 if target <= anchor.month else 0)
-        return TimePoint(year, target)
+        return _on_calendar(TimePoint(year, target))
     if word in _WEEKDAY_NUM:
         target = _WEEKDAY_NUM[word]
         return _last_weekday(base, target) if backward else _next_weekday(base, target)
@@ -313,33 +318,89 @@ def _resolve_bare_year(m: re.Match, anchor: TimePoint) -> Optional[TimePoint]:
 
 @dataclass(frozen=True)
 class _Rule:
+    """A recognizer rule and the literals it cannot match without.
+
+    gate is a tuple of literal groups: every match of pattern contains,
+    for each group, at least one of its literals (lowercase, compared
+    case-insensitively).  The rule does not scan a text that lacks a group.
+    """
+
     name: str
     pattern: re.Pattern
     resolver: Optional[Callable[[re.Match, TimePoint], Optional[TimePoint]]]
+    gate: tuple[tuple[str, ...], ...]
 
 
-def _rule(name: str, rx: str, resolver) -> _Rule:
-    return _Rule(name, re.compile(rx, re.IGNORECASE), resolver)
+def _rule(name: str, rx: str, resolver, *gate: tuple[str, ...]) -> _Rule:
+    return _Rule(name, re.compile(rx, re.IGNORECASE), resolver, gate)
 
+
+_MONTHS = tuple(_MONTH_NUM)
+_WEEKDAYS = tuple(_WEEKDAY_NUM)
+_UNITS = ("day", "week", "month", "year")
+_CENTURY = ("1", "2")  # the first digit of _YEAR_RX
 
 # Order encodes priority for equal-length overlaps and for normalization.
 _RULES: tuple[_Rule, ...] = (
-    _rule("iso_date", rf"\b({_YEAR_RX})([-/])(\d{{1,2}})\2(\d{{1,2}})\b", _resolve_iso),
+    _rule("iso_date", rf"\b({_YEAR_RX})([-/])(\d{{1,2}})\2(\d{{1,2}})\b", _resolve_iso,
+          ("-", "/"), _CENTURY),
     _rule("month_day_year",
           rf"\b({_MONTH_RX})\s+(\d{{1,2}})\s*,\s*({_YEAR_RX})\b",
-          _resolve_month_day_year),
-    _rule("month_year", rf"\b({_MONTH_RX})\s+({_YEAR_RX})\b", _resolve_month_year),
-    _rule("count_ago", rf"\b({_COUNT_RX})\s+({_UNIT_RX})\s+ago\b", _resolve_count_ago),
-    _rule("in_count", rf"\bin\s+({_COUNT_RX})\s+({_UNIT_RX})\b", _resolve_in_count),
+          _resolve_month_day_year, (",",), _MONTHS, _CENTURY),
+    _rule("month_year", rf"\b({_MONTH_RX})\s+({_YEAR_RX})\b", _resolve_month_year,
+          _MONTHS, _CENTURY),
+    _rule("count_ago", rf"\b({_COUNT_RX})\s+({_UNIT_RX})\s+ago\b", _resolve_count_ago,
+          ("ago",), _UNITS),
+    _rule("in_count", rf"\bin\s+({_COUNT_RX})\s+({_UNIT_RX})\b", _resolve_in_count,
+          ("in",), _UNITS),
     _rule("last_next",
           rf"\b(last|next)\s+({_MONTH_RX}|{_WEEKDAY_RX}|week|month|year)\b",
-          _resolve_last_next),
-    _rule("weekday", rf"\b({_WEEKDAY_RX})\b", _resolve_weekday),
-    _rule("relative_day", r"\b(today|yesterday|tomorrow)\b", _resolve_relative_day),
-    _rule("bare_year", rf"(?<!\d)({_YEAR_RX})(?!\d)", _resolve_bare_year),
-    _rule("decade", r"\b(?:the\s+)?[12]\d{2}0s\b", None),
-    _rule("vague", r"\b(recently|nowadays|soon)\b", None),
+          _resolve_last_next, ("last", "next")),
+    _rule("weekday", rf"\b({_WEEKDAY_RX})\b", _resolve_weekday, _WEEKDAYS),
+    _rule("relative_day", r"\b(today|yesterday|tomorrow)\b", _resolve_relative_day,
+          ("today", "yesterday", "tomorrow")),
+    _rule("bare_year", rf"(?<!\d)({_YEAR_RX})(?!\d)", _resolve_bare_year, _CENTURY),
+    _rule("decade", r"\b(?:the\s+)?[12]\d{2}0s\b", None, ("0s",), _CENTURY),
+    _rule("vague", r"\b(recently|nowadays|soon)\b", None,
+          ("recently", "nowadays", "soon")),
 )
+
+# re.IGNORECASE compares characters by their simple lowercase mapping and
+# also pairs "ı" with "i" and "ſ" with "s"; str.lower() alone misses those
+# two, and lowers "İ" (whose simple lowercase is "i") to two code points.
+# Replacing them first makes a gate literal occur in the folded text
+# whenever the regex engine can match it in the text; tests/test_temporal.py
+# checks this against the engine over every code point.
+def _fold(text: str) -> str:
+    return text.replace("ı", "i").replace("ſ", "s").replace("İ", "i").lower()
+
+
+class _Gates:
+    """Which rules a text can match, from one pass over their literal groups."""
+
+    def __init__(self, rules: tuple[_Rule, ...]):
+        self.rules = rules
+        # Bit i of a presence mask stands for groups[i]; a rule needs the
+        # bits of all its groups.
+        self.groups = tuple(dict.fromkeys(g for rule in rules for g in rule.gate))
+        self.needs = tuple(sum(1 << self.groups.index(g) for g in set(rule.gate))
+                           for rule in rules)
+
+    def admitted(self, text: str) -> list[tuple[int, _Rule]]:
+        """(priority, rule) for each rule whose every literal group occurs in text."""
+        folded = _fold(text)
+        present = 0
+        for bit, group in enumerate(self.groups):
+            for lit in group:
+                if lit in folded:
+                    present |= 1 << bit
+                    break
+        return [(priority, rule)
+                for priority, (rule, need) in enumerate(zip(self.rules, self.needs))
+                if present & need == need]
+
+
+_GATES = _Gates(_RULES)
 
 # A fixed anchor suffices to probe whether a match is a valid calendar form;
 # only absolute rules can fail on a valid-looking match.
@@ -347,16 +408,15 @@ _PROBE_ANCHOR = TimePoint(2000, 1, 1)
 _ABSOLUTE = {"iso_date", "month_day_year", "month_year", "bare_year"}
 
 
-def recognize(text: str) -> list[TemporalExpression]:
-    """Find temporal expression spans in text.
+def _spans(text: str, admitted: list[tuple[int, _Rule]]) -> list[tuple[int, int, bool]]:
+    """(start, end, resolvable) of each recognized span, in text order.
 
-    Candidate matches from every rule are reconciled longest-first, so
-    "March 5, 1999" wins over its inner bare year.  Returned expressions
-    carry no normalized value; resolvable marks spans a normalization rule
-    can handle.
+    admitted is _GATES.admitted(text): no other rule can match.  Candidate
+    matches are reconciled longest-first, so "March 5, 1999" wins over its
+    inner bare year.
     """
     candidates: list[tuple[int, int, int, _Rule, re.Match]] = []
-    for priority, rule in enumerate(_RULES):
+    for priority, rule in admitted:
         for m in rule.pattern.finditer(text):
             candidates.append((m.start(), m.end(), priority, rule, m))
     candidates.sort(key=lambda c: (-(c[1] - c[0]), c[0], c[2]))
@@ -373,27 +433,47 @@ def recognize(text: str) -> list[TemporalExpression]:
         resolvable = rule.resolver is not None
         if resolvable and rule.name in _ABSOLUTE:
             resolvable = rule.resolver(m, _PROBE_ANCHOR) is not None
-        out.append(TemporalExpression(start, end, text[start:end],
-                                      normalized=None, resolvable=resolvable))
+        out.append((start, end, resolvable))
     return out
 
 
-def normalize(expr: TemporalExpression, anchor: TimePoint) -> TimePoint:
-    """Resolve an expression to a time point against a day-granularity anchor.
+def recognize(text: str) -> list[TemporalExpression]:
+    """Find temporal expression spans in text.
 
-    Raises UnresolvableExpression when no rule produces a value.
+    Overlapping candidates resolve to the longest, so "March 5, 1999" wins
+    over its inner bare year.  Returned expressions carry no normalized
+    value; resolvable marks spans a normalization rule can handle.
     """
+    return [TemporalExpression(start, end, text[start:end], None, resolvable)
+            for start, end, resolvable in _spans(text, _GATES.admitted(text))]
+
+
+def _resolve(surface: str, anchor: TimePoint,
+             rules: Iterable[_Rule]) -> Optional[TimePoint]:
+    """The first value that one of rules (in _RULES order) gives the whole surface."""
     _require_day_anchor(anchor)
-    for rule in _RULES:
+    for rule in rules:
         if rule.resolver is None:
             continue
-        m = rule.pattern.fullmatch(expr.surface)
+        m = rule.pattern.fullmatch(surface)
         if m is None:
             continue
         point = rule.resolver(m, anchor)
         if point is not None:
             return point
-    raise UnresolvableExpression(f"no rule resolves {expr.surface!r}")
+    return None
+
+
+def normalize(expr: TemporalExpression, anchor: TimePoint) -> TimePoint:
+    """Resolve an expression to a time point against a day-granularity anchor.
+
+    Raises UnresolvableExpression when no rule produces a value, including
+    a relative expression that would leave years 1 through 9999.
+    """
+    point = _resolve(expr.surface, anchor, _RULES)
+    if point is None:
+        raise UnresolvableExpression(f"no rule resolves {expr.surface!r}")
+    return point
 
 
 def annotate(text: str, anchor: TimePoint) -> list[TemporalExpression]:
@@ -401,14 +481,13 @@ def annotate(text: str, anchor: TimePoint) -> list[TemporalExpression]:
 
     In the output, resolvable is true exactly when normalized is present.
     """
+    admitted = _GATES.admitted(text)
+    # A rule that fullmatches a span finds its gate literals in the span,
+    # so in the text too: the rules the gates shut out resolve no span.
+    rules = [rule for _, rule in admitted]
     out = []
-    for expr in recognize(text):
-        if expr.resolvable:
-            try:
-                out.append(replace(expr, normalized=normalize(expr, anchor)))
-            except UnresolvableExpression:
-                # Relative rules can step off the calendar at extreme anchors.
-                out.append(replace(expr, resolvable=False))
-        else:
-            out.append(expr)
+    for start, end, resolvable in _spans(text, admitted):
+        surface = text[start:end]
+        point = _resolve(surface, anchor, rules) if resolvable else None
+        out.append(TemporalExpression(start, end, surface, point, point is not None))
     return out

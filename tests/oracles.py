@@ -2,13 +2,16 @@
 
 Everything here is deliberately naive: day arithmetic by stepping one
 day at a time with hand-written leap rules, ranking metrics computed
-from first principles, and the encoder's elementwise kernels as plain
-expressions.  None of it imports the package under test.
+from first principles, the encoder's elementwise kernels as plain
+expressions, and the temporal tagger that scans with every rule.  None
+of it imports the package under test.
 """
 
 from __future__ import annotations
 
 import math
+import re
+from datetime import date, timedelta
 
 import numpy as np
 
@@ -251,3 +254,203 @@ def batch_losses(params, cfg, batch, encoder_forward, encoder_backward,
             if name not in grads:
                 grads[name] = np.zeros_like(p)
     return parts, grads
+
+
+# ---------------------------------------------------------------------------
+# The temporal tagger as it stood before rule gating: every rule scans every
+# text, and relative shifts may leave the calendar (years 1 to 9999).  A
+# point is a (year, month, day) tuple with None for absent fields; an
+# expression is (start, end, surface, point, resolvable).  Weekday shifts
+# past the calendar's ends raise OverflowError here, as they did then.
+
+_MONTHS = ("january", "february", "march", "april", "may", "june", "july",
+           "august", "september", "october", "november", "december")
+_WEEKDAYS = tuple(w.lower() for w in WEEKDAY_NAMES)
+_NUMBER_WORDS = {
+    "one": 1, "two": 2, "three": 3, "four": 4, "five": 5, "six": 6,
+    "seven": 7, "eight": 8, "nine": 9, "ten": 10, "eleven": 11, "twelve": 12,
+}
+_MONTH_RX = "|".join(_MONTHS)
+_WEEKDAY_RX = "|".join(_WEEKDAYS)
+_COUNT_RX = r"\d{1,3}|" + "|".join(_NUMBER_WORDS)
+_YEAR_RX = r"[12]\d{3}"
+_UNIT_RX = r"days?|weeks?|months?|years?"
+
+
+class Unresolvable(Exception):
+    pass
+
+
+def _point(year, month=None, day=None):
+    """A checked (year, month, day) point, as the library's TimePoint checks."""
+    if month is not None and not 1 <= month <= 12:
+        raise ValueError(f"month out of range: {month}")
+    if day is not None:
+        date(year, month, day)
+    return (year, month, day)
+
+
+def _day_point(d: date):
+    return (d.year, d.month, d.day)
+
+
+def _safe_day(d: date, delta_days: int):
+    try:
+        return _day_point(d + timedelta(days=delta_days))
+    except OverflowError:
+        return None
+
+
+def _last_weekday(anchor: date, target: int):
+    back = (anchor.weekday() - target) % 7
+    return _day_point(anchor - timedelta(days=back or 7))
+
+
+def _next_weekday(anchor: date, target: int):
+    forward = (target - anchor.weekday()) % 7
+    return _day_point(anchor + timedelta(days=forward or 7))
+
+
+def _count(text: str) -> int:
+    text = text.lower()
+    return _NUMBER_WORDS[text] if text in _NUMBER_WORDS else int(text)
+
+
+def _shift(anchor: date, n: int, unit: str):
+    unit = unit.lower().rstrip("s")
+    if unit == "day":
+        return _safe_day(anchor, n)
+    if unit == "week":
+        return _safe_day(anchor, 7 * n)
+    if unit == "month":
+        index = anchor.year * 12 + (anchor.month - 1) + n
+        return (index // 12, index % 12 + 1, None)
+    return (anchor.year + n, None, None)
+
+
+def _r_iso(m, anchor):
+    try:
+        return _point(int(m.group(1)), int(m.group(3)), int(m.group(4)))
+    except ValueError:
+        return None
+
+
+def _r_month_day_year(m, anchor):
+    try:
+        return _point(int(m.group(3)), _MONTHS.index(m.group(1).lower()) + 1,
+                      int(m.group(2)))
+    except ValueError:
+        return None
+
+
+def _r_month_year(m, anchor):
+    return (int(m.group(2)), _MONTHS.index(m.group(1).lower()) + 1, None)
+
+
+def _r_count_ago(m, anchor):
+    return _shift(anchor, -_count(m.group(1)), m.group(2))
+
+
+def _r_in_count(m, anchor):
+    return _shift(anchor, _count(m.group(1)), m.group(2))
+
+
+def _r_last_next(m, anchor):
+    backward = m.group(1).lower() == "last"
+    word = m.group(2).lower()
+    if word in _MONTHS:
+        target = _MONTHS.index(word) + 1
+        if backward:
+            year = anchor.year - (1 if target >= anchor.month else 0)
+        else:
+            year = anchor.year + (1 if target <= anchor.month else 0)
+        return (year, target, None)
+    if word in _WEEKDAYS:
+        target = _WEEKDAYS.index(word)
+        return (_last_weekday(anchor, target) if backward
+                else _next_weekday(anchor, target))
+    return _shift(anchor, -1 if backward else 1, word)
+
+
+def _r_weekday(m, anchor):
+    return _last_weekday(anchor, _WEEKDAYS.index(m.group(1).lower()))
+
+
+def _r_relative_day(m, anchor):
+    offset = {"today": 0, "yesterday": -1, "tomorrow": 1}[m.group(1).lower()]
+    return _safe_day(anchor, offset)
+
+
+def _r_bare_year(m, anchor):
+    return (int(m.group(1)), None, None)
+
+
+_TAGGER_RULES = tuple(
+    (name, re.compile(rx, re.IGNORECASE), resolver) for name, rx, resolver in (
+        ("iso_date", rf"\b({_YEAR_RX})([-/])(\d{{1,2}})\2(\d{{1,2}})\b", _r_iso),
+        ("month_day_year", rf"\b({_MONTH_RX})\s+(\d{{1,2}})\s*,\s*({_YEAR_RX})\b",
+         _r_month_day_year),
+        ("month_year", rf"\b({_MONTH_RX})\s+({_YEAR_RX})\b", _r_month_year),
+        ("count_ago", rf"\b({_COUNT_RX})\s+({_UNIT_RX})\s+ago\b", _r_count_ago),
+        ("in_count", rf"\bin\s+({_COUNT_RX})\s+({_UNIT_RX})\b", _r_in_count),
+        ("last_next",
+         rf"\b(last|next)\s+({_MONTH_RX}|{_WEEKDAY_RX}|week|month|year)\b",
+         _r_last_next),
+        ("weekday", rf"\b({_WEEKDAY_RX})\b", _r_weekday),
+        ("relative_day", r"\b(today|yesterday|tomorrow)\b", _r_relative_day),
+        ("bare_year", rf"(?<!\d)({_YEAR_RX})(?!\d)", _r_bare_year),
+        ("decade", r"\b(?:the\s+)?[12]\d{2}0s\b", None),
+        ("vague", r"\b(recently|nowadays|soon)\b", None),
+    ))
+_ABSOLUTE = {"iso_date", "month_day_year", "month_year", "bare_year"}
+_PROBE_ANCHOR = date(2000, 1, 1)
+
+
+def recognize(text: str):
+    """[(start, end, surface, None, resolvable)], every rule over the text."""
+    candidates = []
+    for priority, rule in enumerate(_TAGGER_RULES):
+        for m in rule[1].finditer(text):
+            candidates.append((m.start(), m.end(), priority, rule, m))
+    candidates.sort(key=lambda c: (-(c[1] - c[0]), c[0], c[2]))
+    kept = []
+    for start, end, _, rule, m in candidates:
+        if any(start < e and end > s for s, e, _, _ in kept):
+            continue
+        kept.append((start, end, rule, m))
+    kept.sort(key=lambda c: c[0])
+    out = []
+    for start, end, (name, _, resolver), m in kept:
+        resolvable = resolver is not None
+        if resolvable and name in _ABSOLUTE:
+            resolvable = resolver(m, _PROBE_ANCHOR) is not None
+        out.append((start, end, text[start:end], None, resolvable))
+    return out
+
+
+def normalize(surface: str, anchor):
+    """First value in rule order for the whole surface; anchor is (y, m, d)."""
+    anchor = date(*anchor)
+    for _, pattern, resolver in _TAGGER_RULES:
+        if resolver is None:
+            continue
+        m = pattern.fullmatch(surface)
+        if m is None:
+            continue
+        point = resolver(m, anchor)
+        if point is not None:
+            return point
+    raise Unresolvable(surface)
+
+
+def annotate(text: str, anchor):
+    out = []
+    for start, end, surface, _, resolvable in recognize(text):
+        if resolvable:
+            try:
+                out.append((start, end, surface, normalize(surface, anchor), True))
+            except Unresolvable:
+                out.append((start, end, surface, None, False))
+        else:
+            out.append((start, end, surface, None, False))
+    return out

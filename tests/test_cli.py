@@ -238,6 +238,66 @@ def test_bad_label_space_fails_at_load(tmp_path, capsys):
     assert_one_error_line(rc, capsys, "[labelspace] start", "1990-13")
 
 
+def test_bad_model_section_fails_at_load(workdir, tmp_path, capsys):
+    (tmp_path / "bad.cfg").write_text("[model]\nd_model = 30\nn_heads = 4\n")
+    rc = run("pretrain", "--config", tmp_path / "bad.cfg",
+             "--tagged", workdir / "tagged.jsonl",
+             "--vocab", workdir / "vocab.txt",
+             "--out", tmp_path / "enc.ckpt")
+    assert_one_error_line(rc, capsys, "bad config value", "heads")
+
+
+def _tagged_line(edit):
+    rec = {"id": "d", "timestamp": "1990-01-05", "text": "in March 1990 .",
+           "expressions": [{"start": 3, "end": 13, "surface": "March 1990",
+                            "normalized": "1990-03", "granularity": "month"}]}
+    edit(rec["expressions"][0])
+    return json.dumps(rec)
+
+
+BAD_TAGGED = {
+    "bad-normalized": (lambda e: e.update(normalized="10000"), "10000"),
+    "normalized-not-string": (lambda e: e.update(normalized=1990), "normalized"),
+    "missing-key": (lambda e: e.pop("end"), "'end'"),
+    "bad-span": (lambda e: e.update(start=13, end=3), "bad span"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TAGGED))
+def test_build_dataset_rejects_bad_tagged_line(workdir, tmp_path, capsys, case):
+    edit, needle = BAD_TAGGED[case]
+    good = _tagged_line(lambda e: None)
+    (tmp_path / "bad.jsonl").write_text(f"{good}\n{_tagged_line(edit)}\n")
+    rc = run("build-dataset", "--config", workdir / "run.cfg",
+             "--tagged", tmp_path / "bad.jsonl",
+             "--vocab", workdir / "vocab.txt",
+             "--objectives", "tamlm",
+             "--out", tmp_path / "dataset.jsonl")
+    assert_one_error_line(rc, capsys, "bad.jsonl line 2", needle)
+
+
+def test_tag_at_the_calendar_edges_round_trips(workdir, tmp_path):
+    # Shifts past years 1-9999 are tagged unresolvable, so the tagged file
+    # loads again.
+    write_jsonl(str(tmp_path / "edge.jsonl"), [
+        {"id": "late", "timestamp": "9999-06-01", "text": "next year the m1 ledger ."},
+        {"id": "early", "timestamp": "0001-01-01",
+         "text": "last month and 999 years ago the m2 ledger ."},
+    ])
+    assert run("tag", "--corpus", tmp_path / "edge.jsonl",
+               "--out", tmp_path / "tagged.jsonl") == 0
+    exprs = [e for line in (tmp_path / "tagged.jsonl").read_text().splitlines()
+             for e in json.loads(line)["expressions"]]
+    assert [e["surface"] for e in exprs] == ["next year", "last month", "999 years ago"]
+    assert all(e["normalized"] is None for e in exprs)
+    assert run("build-dataset", "--config", workdir / "run.cfg",
+               "--tagged", tmp_path / "tagged.jsonl",
+               "--vocab", workdir / "vocab.txt",
+               "--objectives", "tamlm",
+               "--out", tmp_path / "dataset.jsonl") == 0
+    assert len((tmp_path / "dataset.jsonl").read_text().splitlines()) == 2
+
+
 def test_pretrain_and_determinism(workdir):
     for out in ("enc.ckpt", "enc2.ckpt"):
         rc = run("pretrain", "--config", workdir / "run.cfg",

@@ -53,6 +53,19 @@ def test_bad_value_raises(tmp_path):
         RunConfig.load(str(path))
 
 
+@pytest.mark.parametrize("body", [
+    "d_model = 30\nn_heads = 4\n",
+    "n_heads = 0\n",
+    "dropout = 1.0\n",
+    "max_len = 2\n",
+])
+def test_model_section_checked_at_load(tmp_path, body):
+    path = tmp_path / "run.cfg"
+    path.write_text("[model]\n" + body)
+    with pytest.raises(MalformedRecord):
+        RunConfig.load(str(path))
+
+
 def test_train_config_parses_objectives(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("[train]\nobjectives = tamlm,dtp,tir\n")

@@ -1,11 +1,22 @@
 """Calendar arithmetic, the expression recognizer, and normalization."""
 
+import re
+import sys
+from dataclasses import replace
+from datetime import date
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chronolm.errors import GranularityRefinementError, UnresolvableExpression
+from chronolm.objectives import build_labelspace
+from chronolm.synth import synth_corpus
 from chronolm.temporal import (
+    MONTH_NAMES,
+    WEEKDAY_NAMES,
+    _GATES,
+    _RULES,
     Granularity,
     TemporalExpression,
     TimePoint,
@@ -19,8 +30,11 @@ from chronolm.temporal import (
     render,
     time_index,
     truncate,
+    _fold,
+    _Gates,
 )
 
+import oracles
 from oracles import build_day_numbers, day_distance, leap, month_distance
 
 ANCHOR = TimePoint(2007, 2, 23)
@@ -318,3 +332,188 @@ def test_recognize_never_crashes_and_spans_are_sane(text):
     for e in recognize(text):
         assert 0 <= e.start < e.end <= len(text)
         assert text[e.start:e.end] == e.surface
+
+
+# ------------------------------------------------------------ calendar edges
+
+@pytest.mark.parametrize("text,anchor", [
+    ("next year", TimePoint(9999, 6, 1)),
+    ("in 1 year", TimePoint(9999, 6, 1)),
+    ("999 years ago", TimePoint(500, 1, 1)),
+    ("last month", TimePoint(1, 1, 1)),
+    ("in 12 months", TimePoint(9999, 12, 1)),
+    ("next December", TimePoint(9999, 12, 31)),
+    ("last January", TimePoint(1, 1, 1)),
+    ("last Friday", TimePoint(1, 1, 1)),
+    ("Monday", TimePoint(1, 1, 1)),
+    ("next Friday", TimePoint(9999, 12, 31)),
+    ("yesterday", TimePoint(1, 1, 1)),
+])
+def test_shift_off_the_calendar_is_unresolvable(text, anchor):
+    expr, = annotate(text, anchor)
+    assert expr.surface == text
+    assert expr.normalized is None and not expr.resolvable
+    with pytest.raises(UnresolvableExpression):
+        normalize(expr, anchor)
+
+
+def test_shifts_to_the_calendar_ends_still_resolve():
+    assert annotate("last year", TimePoint(2, 6, 1))[0].normalized == TimePoint(1)
+    assert annotate("next month", TimePoint(9999, 11, 30))[0].normalized == \
+        TimePoint(9999, 12)
+    assert annotate("next year", TimePoint(9998, 1, 1))[0].normalized == TimePoint(9999)
+
+
+# ------------------------------------------------- gates against the oracle
+
+_VOCABULARY = (
+    MONTH_NAMES + WEEKDAY_NAMES
+    + ("one", "two", "seven", "twelve", "3", "12", "999", "1999", "2000", "05",
+       "1990s", "0s", "day", "days", "week", "weeks", "month", "months", "year",
+       "years", "ago", "in", "last", "next", "the", "today", "yesterday",
+       "tomorrow", "recently", "nowadays", "soon", "x", "-", "/", ",")
+    # Characters re.IGNORECASE folds onto ASCII letters that str.lower() does
+    # not: the long s, the Kelvin sign, the dotless i and the dotted capital I.
+    + ("ſoon", "3 weeKs ago", "ın", "İn")
+)
+_SEPARATORS = (" ", "", "-", "/", ", ", "\t", "  ")
+
+
+@st.composite
+def vocabulary_texts(draw):
+    parts = []
+    for word in draw(st.lists(st.sampled_from(_VOCABULARY), max_size=8)):
+        case = draw(st.sampled_from(("keep", "lower", "upper", "title", "mixed")))
+        if case == "mixed":
+            flips = draw(st.lists(st.booleans(), min_size=len(word),
+                                  max_size=len(word)))
+            word = "".join(c.upper() if f else c for c, f in zip(word, flips))
+        elif case != "keep":
+            word = getattr(word, case)()
+        parts += [word, draw(st.sampled_from(_SEPARATORS))]
+    return "".join(parts)
+
+
+_EDGE_ANCHORS = (date(1, 1, 1), date(1, 1, 31), date(500, 1, 1),
+                 date(9999, 6, 1), date(9999, 12, 31))
+anchors = st.one_of(st.sampled_from(_EDGE_ANCHORS),
+                    st.dates(min_value=date(1, 1, 1), max_value=date(9999, 12, 31)))
+
+
+def _as_tuples(exprs):
+    return [(e.start, e.end, e.surface,
+             None if e.normalized is None
+             else (e.normalized.year, e.normalized.month, e.normalized.day),
+             e.resolvable) for e in exprs]
+
+
+def _oracle_annotate(text, anchor):
+    """The frozen tagger's spans and values, with a value off the calendar
+    (or a weekday shift that overflowed there) made unresolvable."""
+    out = []
+    for start, end, surface, _, resolvable in oracles.recognize(text):
+        point = None
+        if resolvable:
+            try:
+                point = oracles.normalize(surface, anchor)
+            except (oracles.Unresolvable, OverflowError):
+                pass
+        if point is not None and not 1 <= point[0] <= 9999:
+            point = None
+        out.append((start, end, surface, point, point is not None))
+    return out
+
+
+@given(vocabulary_texts(), anchors)
+@settings(max_examples=400, deadline=None)
+def test_tagger_matches_frozen_oracle_on_vocabulary_texts(text, anchor):
+    ymd = (anchor.year, anchor.month, anchor.day)
+    assert _as_tuples(recognize(text)) == oracles.recognize(text)
+    got = _as_tuples(annotate(text, TimePoint(*ymd)))
+    expected = _oracle_annotate(text, ymd)
+    assert got == expected
+    try:
+        frozen = oracles.annotate(text, ymd)
+    except OverflowError:  # a weekday shift past the calendar's ends
+        return
+    # Equal to the frozen tagger except where its value is off the calendar.
+    assert len(got) == len(frozen)
+    for ours, theirs in zip(got, frozen):
+        if ours != theirs:
+            assert not 1 <= theirs[3][0] <= 9999
+            assert ours == theirs[:3] + (None, False)
+
+
+@pytest.mark.parametrize("n_docs", [300, 2000, 150])
+def test_tagger_matches_frozen_oracle_on_workload_corpora(n_docs):
+    # The benchmark workloads' corpus sizes and label space, seeds 1-3.
+    space = build_labelspace(TimePoint(1990, 1), TimePoint(1993, 12),
+                             Granularity.MONTH)
+    for seed in (1, 2, 3):
+        for doc in synth_corpus(n_docs, space, seed=seed):
+            stamp = doc.timestamp
+            assert _as_tuples(annotate(doc.text, stamp)) == oracles.annotate(
+                doc.text, (stamp.year, stamp.month, stamp.day))
+
+
+# --------------------------------------------------------------- rule gates
+
+def _misses(gates, priority, text):
+    """Whether the rule at priority matches text but gates shut it out."""
+    return (gates.rules[priority].pattern.search(text) is not None
+            and priority not in dict(gates.admitted(text)))
+
+
+# Each gate literal is the only literal of its group in some witness.
+_WITNESSES = (
+    ["1999-05-05", "2000/05/05", "May 5, 2000", "May 2000", "1999", "2000",
+     "last week", "next week", "today", "yesterday", "tomorrow",
+     "the 1990s", "the 2000s", "recently", "nowadays", "soon"]
+    + [f"{m} 5, 1999" for m in MONTH_NAMES] + [f"{m} 1999" for m in MONTH_NAMES]
+    + [f"3 {u}s ago" for u in ("day", "week", "month", "year")]
+    + [f"in 3 {u}s" for u in ("day", "week", "month", "year")]
+    + list(WEEKDAY_NAMES)
+)
+
+
+def test_gate_literals_are_lowercase():
+    for rule in _RULES:
+        for group in rule.gate:
+            assert group and all(lit == lit.lower() for lit in group), rule.name
+
+
+@given(vocabulary_texts())
+@settings(max_examples=400, deadline=None)
+def test_gates_admit_every_rule_that_matches(text):
+    for priority, rule in enumerate(_RULES):
+        assert not _misses(_GATES, priority, text), rule.name
+
+
+def test_gates_admit_every_rule_on_witnesses():
+    for text in _WITNESSES:
+        for priority, rule in enumerate(_RULES):
+            assert not _misses(_GATES, priority, text), (rule.name, text)
+
+
+def test_dropping_any_gate_literal_fails_soundness():
+    # The soundness check above catches a gate with one literal missing.
+    for priority, rule in enumerate(_RULES):
+        for g, group in enumerate(rule.gate):
+            for lit in group:
+                gate = list(rule.gate)
+                gate[g] = tuple(other for other in group if other != lit)
+                rules = list(_RULES)
+                rules[priority] = replace(rule, gate=tuple(gate))
+                mutated = _Gates(tuple(rules))
+                assert any(_misses(mutated, priority, text) for text in _WITNESSES), \
+                    (rule.name, lit)
+
+
+def test_fold_agrees_with_ignorecase_on_every_code_point():
+    # Every character the regex engine matches against a gate literal's
+    # character under re.IGNORECASE folds to that character.
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    chars = {c for rule in _RULES for group in rule.gate for lit in group for c in lit}
+    for c in sorted(chars):
+        for m in re.finditer(re.escape(c), every, re.IGNORECASE):
+            assert _fold(m.group()) == c, (c, hex(ord(m.group())))
