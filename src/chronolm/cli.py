@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import sys
 from typing import Optional, Sequence
@@ -27,7 +28,15 @@ from .corpus import (
     tagged_to_json,
     tokenize,
 )
-from .errors import ChronoError, LabelOutOfRange, MalformedRecord, UnknownTokenId
+from .errors import (
+    AlignmentError,
+    ChronoError,
+    GranularityRefinementError,
+    LabelOutOfRange,
+    MalformedRecord,
+    OutOfLabelSpace,
+    UnknownTokenId,
+)
 from .evaluation import (
     DEFAULT_ABLATION,
     EvalSet,
@@ -84,13 +93,16 @@ def _string(obj: dict, key: str) -> str:
     return value
 
 
-def _load_labeled(path: str) -> list[LabeledExample]:
+def _load_labeled(path: str, space: Optional[LabelSpace] = None) -> list[LabeledExample]:
+    """Labelled events from a JSONL file; with a space, every time must lie in it."""
     out = []
     for lineno, obj in util.read_jsonl(path):
         try:
             if not isinstance(obj, dict):
                 raise ValueError("record is not a JSON object")
             time = TimePoint.parse(_string(obj, "time"))
+            if space is not None:
+                space.index_of(time)
             doc_ts = (TimePoint.parse(_string(obj, "doc_timestamp"))
                       if obj.get("doc_timestamp") else None)
             doc_text = (_string(obj, "doc_text")
@@ -101,6 +113,8 @@ def _load_labeled(path: str) -> list[LabeledExample]:
             ))
         except (KeyError, ValueError) as exc:
             raise MalformedRecord(f"{path} line {lineno}: {exc}") from None
+        except (GranularityRefinementError, OutOfLabelSpace) as exc:
+            raise type(exc)(f"{path} line {lineno}: {exc}") from None
     if not out:
         raise MalformedRecord(f"{path}: no labeled records")
     return out
@@ -157,15 +171,20 @@ def cmd_build_vocab(args, cfg: RunConfig) -> None:
 
 def _provider(args, cfg: RunConfig, vocab: Vocab, objectives, space):
     """Per-epoch example builds over --tagged, with the configured sampling."""
-    return example_provider(
-        list(load_tagged(_need(args, cfg, "tagged"))), vocab, objectives, space,
-        temporal_mask_ratio=cfg.temporal_mask_ratio,
-        mask_budget=cfg.mask_budget,
-        replace_prob=cfg.replace_prob,
-        seed=cfg.seed,
-        lowercase=cfg.lowercase,
-        max_len=cfg.model["max_len"],
-    )
+    path = _need(args, cfg, "tagged")
+    tagged = list(load_tagged(path))
+    try:
+        return example_provider(
+            tagged, vocab, objectives, space,
+            temporal_mask_ratio=cfg.temporal_mask_ratio,
+            mask_budget=cfg.mask_budget,
+            replace_prob=cfg.replace_prob,
+            seed=cfg.seed,
+            lowercase=cfg.lowercase,
+            max_len=cfg.model["max_len"],
+        )
+    except (AlignmentError, OutOfLabelSpace) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def cmd_build_dataset(args, cfg: RunConfig) -> None:
@@ -255,7 +274,7 @@ def cmd_finetune(args, cfg: RunConfig) -> None:
     vocab = Vocab.load(_need(args, cfg, "vocab"))
     space = _space_or_fail(cfg)
     ckpt = load_checkpoint(_need(args, cfg, "checkpoint"), vocab=vocab)
-    examples = _load_labeled(_need(args, cfg, "train-data"))
+    examples = _load_labeled(_need(args, cfg, "train-data"), space)
     records = prepare_labeled(examples, space, vocab, cfg.lowercase,
                               ckpt.config.max_len)
     tuned, log = finetune(ckpt, records, space.size, cfg.finetune_config(),
@@ -302,7 +321,7 @@ def cmd_eval(args, cfg: RunConfig) -> None:
         vocab = Vocab.load(_need(args, cfg, "vocab"))
         space = _space_or_fail(cfg)
         ckpt = load_checkpoint(_need(args, cfg, "checkpoint"), vocab=vocab)
-        examples = _load_labeled(_need(args, cfg, "data"))
+        examples = _load_labeled(_need(args, cfg, "data"), space)
         records = prepare_labeled(examples, space, vocab, cfg.lowercase,
                                   ckpt.config.max_len)
         picks = classify(ckpt, [ids for ids, _ in records])
@@ -331,7 +350,7 @@ def cmd_probe(args, cfg: RunConfig) -> None:
 def cmd_baseline(args, cfg: RunConfig) -> None:
     out = _need(args, cfg, "out")
     space = _space_or_fail(cfg)
-    golds = [e.time for e in _load_labeled(_need(args, cfg, "data"))]
+    golds = [e.time for e in _load_labeled(_need(args, cfg, "data"), space)]
     acc, err = random_guess(space, golds, trials=args.trials, seed=cfg.seed)
     rows = [
         ("random-guess", "acc", str(space.granularity), f"{acc:.4f}"),
@@ -365,8 +384,6 @@ def cmd_ablate(args, cfg: RunConfig) -> None:
     vocab = Vocab.load(_need(args, cfg, "vocab"))
     space = _space_or_fail(cfg)
     tagged = list(load_tagged(_need(args, cfg, "tagged")))
-    train_examples = _load_labeled(_need(args, cfg, "eval-train"))
-    test_examples = _load_labeled(_need(args, cfg, "eval-test"))
     eval_space = space
     g = space.granularity
     if args.eval_granularity:
@@ -384,6 +401,8 @@ def cmd_ablate(args, cfg: RunConfig) -> None:
     if args.combinations:
         combos = tuple(parse_value("--combinations", Objective.parse_set, c)
                        for c in args.combinations.split(";"))
+    train_examples = _load_labeled(_need(args, cfg, "eval-train"), eval_space)
+    test_examples = _load_labeled(_need(args, cfg, "eval-test"), eval_space)
     rows = run_ablation(
         tagged, vocab, space,
         model_cfg=cfg.model_config(vocab.size),
@@ -406,7 +425,9 @@ def cmd_ablate(args, cfg: RunConfig) -> None:
     print(f"{len(rows)} ablation rows -> {out}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="chronolm",
         description="Time-aware pretraining toolkit",

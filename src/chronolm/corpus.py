@@ -11,7 +11,10 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import util
@@ -27,7 +30,7 @@ PAD, UNK, CLS, SEP, MASK = 0, 1, 2, 3, 4
 SPECIAL_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
 
 _TOKEN_RX = re.compile(r"\w+|[^\w\s]")
-_TIMESTAMP_RX = re.compile(r"\d{4}-\d{2}-\d{2}")
+_TIMESTAMP_RX = re.compile(r"(\d{4})-(\d{2})-(\d{2})")
 
 
 @dataclass(frozen=True)
@@ -55,6 +58,12 @@ def word_spans(text: str, lowercase: bool = False) -> list[tuple[str, int, int]]
     return out
 
 
+def word_forms(text: str, lowercase: bool = False) -> list[str]:
+    """The forms of word_spans(text, lowercase), without their offsets."""
+    forms = _TOKEN_RX.findall(text)
+    return list(map(str.lower, forms)) if lowercase else forms
+
+
 class Vocab:
     """Dense token-to-id table with five fixed special tokens up front."""
 
@@ -76,6 +85,10 @@ class Vocab:
     def id_of(self, token: str) -> int:
         return self._ids.get(token, UNK)
 
+    def encode(self, text: str, lowercase: bool = False) -> list[int]:
+        """Ids of the text's word_forms."""
+        return list(map(self._ids.get, word_forms(text, lowercase), repeat(UNK)))
+
     def token_of(self, token_id: int) -> str:
         return self.tokens[token_id]
 
@@ -95,8 +108,8 @@ class Vocab:
         return cls(tokens)
 
 
-def parse_document(obj: dict, lineno: int = 0) -> Document:
-    where = f"line {lineno}" if lineno else "record"
+def parse_document(obj: dict, where: str = "record") -> Document:
+    """Validate one corpus record; where prefixes every error message."""
     if not isinstance(obj, dict):
         raise MalformedRecord(f"{where}: not an object")
     for field in ("id", "timestamp", "text"):
@@ -107,21 +120,20 @@ def parse_document(obj: dict, lineno: int = 0) -> Document:
         raise MalformedRecord(f"{where}: id must be a non-empty string")
     if not isinstance(text, str):
         raise MalformedRecord(f"{where}: text must be a string")
-    if not isinstance(stamp, str) or _TIMESTAMP_RX.fullmatch(stamp) is None:
+    m = _TIMESTAMP_RX.fullmatch(stamp) if isinstance(stamp, str) else None
+    if m is None:
         raise InvalidTimestamp(f"{where}: timestamp must look like YYYY-MM-DD")
     try:
-        point = TimePoint.parse(stamp)
+        point = TimePoint(int(m[1]), int(m[2]), int(m[3]))
     except ValueError as exc:
         raise InvalidTimestamp(f"{where}: {exc}") from None
-    if point.granularity is not Granularity.DAY:
-        raise InvalidTimestamp(f"{where}: timestamp must name a day")
     return Document(doc_id, point, text)
 
 
 def load_corpus(path: str) -> Iterator[Document]:
     """Stream documents from a JSONL file, validating each record.
 
-    Raises MalformedRecord (with the line number) on bad JSON, missing
+    Raises MalformedRecord (naming the file and line) on bad JSON, missing
     fields, or duplicate ids; InvalidTimestamp on calendar-invalid stamps;
     EmptyCorpus when the file holds no records.
     """
@@ -131,13 +143,14 @@ def load_corpus(path: str) -> Iterator[Document]:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path} line {lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise MalformedRecord(f"line {lineno}: invalid JSON ({exc.msg})") from None
-            doc = parse_document(obj, lineno)
+                raise MalformedRecord(f"{where}: invalid JSON ({exc.msg})") from None
+            doc = parse_document(obj, where)
             if doc.id in seen:
-                raise MalformedRecord(f"line {lineno}: duplicate id {doc.id!r}")
+                raise MalformedRecord(f"{where}: duplicate id {doc.id!r}")
             seen.add(doc.id)
             count += 1
             yield doc
@@ -163,15 +176,19 @@ def build_vocab(
         raise ValueError(f"max_size must exceed {len(SPECIAL_TOKENS)}")
     if min_freq < 1:
         raise ValueError("min_freq must be at least 1")
-    counts: dict[str, int] = {}
+    counts: Counter[str] = Counter()
+    stamps: Counter[TimePoint] = Counter()
     n_docs = 0
     for doc in docs:
         n_docs += 1
-        text = doc.text
+        counts.update(word_forms(doc.text, lowercase))
         if include_timestamps:
-            text = f"{render(doc.timestamp)} {text}"
-        for form, _, _ in word_spans(text, lowercase):
-            counts[form] = counts.get(form, 0) + 1
+            stamps[doc.timestamp] += 1
+    # A document's rendered timestamp is counted apart from its text: the
+    # space that would join them ends every token, so no token spans both.
+    for stamp, n in stamps.items():
+        for form in word_forms(render(stamp), lowercase):
+            counts[form] += n
     if n_docs == 0:
         raise EmptyCorpus("no documents supplied")
     ranked = sorted(
@@ -223,42 +240,42 @@ def tokenize(
     partly beyond the cut are dropped.  A token lands in at most one group;
     when two expressions collide on a token, the later one is dropped.
     """
-    full = word_spans(doc.text, lowercase)
-    spans = full
+    matches = list(_TOKEN_RX.finditer(doc.text))
+    kept = len(matches)
     if max_len is not None:
         if max_len < 3:
             raise ValueError("max_len must be at least 3")
-        spans = full[: max_len - 2]
-    ids = tuple(vocab.id_of(form) for form, _, _ in spans)
+        kept = min(kept, max_len - 2)
+    forms = map(re.Match.group, matches[:kept])
+    if lowercase:
+        forms = map(str.lower, forms)
+    starts = list(map(re.Match.start, matches))
+    ends = list(map(re.Match.end, matches))
 
+    # Tokens are sorted and disjoint, so the tokens an expression overlaps
+    # are the run from the first one ending after its start to the last
+    # one starting before its end.
     groups: list[TemporalGroup] = []
     for index, expr in enumerate(expressions):
-        covering = [
-            k for k, (_, s, e) in enumerate(full)
-            if s < expr.end and e > expr.start
-        ]
-        if not covering:
+        start = bisect_right(ends, expr.start)
+        end = bisect_left(starts, expr.end)
+        if end <= start:
             raise AlignmentError(
                 f"doc {doc.id}: expression at {expr.start}:{expr.end} covers no token"
             )
-        start, end = covering[0], covering[-1] + 1
-        if len(covering) != end - start:
-            raise AlignmentError(
-                f"doc {doc.id}: expression at {expr.start}:{expr.end} is not contiguous"
-            )
-        if full[start][1] != expr.start or full[end - 1][2] != expr.end:
+        if starts[start] != expr.start or ends[end - 1] != expr.end:
             raise AlignmentError(
                 f"doc {doc.id}: expression at {expr.start}:{expr.end} "
                 "does not align with token boundaries"
             )
-        if end > len(spans):
+        if end > kept:
             continue  # dropped by truncation
         if groups and start < groups[-1].token_end:
             continue  # token already claimed by an earlier expression
         groups.append(TemporalGroup(index, start, end, expr.resolvable,
                                     expr.normalized))
-    return TokenizedDoc(doc.id, ids, tuple((s, e) for _, s, e in spans),
-                        tuple(groups))
+    return TokenizedDoc(doc.id, tuple(map(vocab.id_of, forms)),
+                        tuple(zip(starts[:kept], ends[:kept])), tuple(groups))
 
 
 def expression_to_json(expr: TemporalExpression) -> dict:
@@ -312,7 +329,7 @@ def load_tagged(path: str) -> Iterator[tuple[Document, list[TemporalExpression]]
             if (not isinstance(obj, dict) or "text" not in obj
                     or not isinstance(obj.get("expressions"), list)):
                 raise MalformedRecord(f"{where}: not a tagged record")
-            doc = parse_document(obj, lineno)
+            doc = parse_document(obj, where)
             try:
                 exprs = [expression_from_json(e) for e in obj["expressions"]]
             except ValueError as exc:

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .. import util
-from ..corpus import CLS, PAD, SEP, Vocab, word_spans
+from ..corpus import CLS, PAD, SEP, Vocab
 from ..errors import LabelOutOfRange
 from ..objectives import (
     IGNORE_INDEX,
@@ -23,7 +23,7 @@ from ..objectives import (
     PretrainExample,
     TirExample,
 )
-from ..temporal import TimePoint, render, truncate
+from ..temporal import TimePoint, render
 from .checkpoint import EncoderCheckpoint
 from .config import ModelConfig, TrainConfig, init_params
 from .network import Batch, batch_losses, encoder_forward
@@ -180,7 +180,7 @@ def text_input_ids(
     max_len: Optional[int] = None,
 ) -> tuple[int, ...]:
     """[CLS] text [SEP], truncated to max_len."""
-    ids = [vocab.id_of(form) for form, _, _ in word_spans(text, lowercase)]
+    ids = vocab.encode(text, lowercase)
     if max_len is not None:
         ids = ids[: max_len - 2]
     return (CLS, *ids, SEP)
@@ -196,16 +196,14 @@ def labeled_input_ids(
 
     Without a paired document this is just the delimited text.
     """
-    first = [vocab.id_of(form) for form, _, _ in word_spans(example.text, lowercase)]
+    first = vocab.encode(example.text, lowercase)
     if example.doc_text is None:
         seq = [CLS, *first, SEP]
     else:
         if example.doc_timestamp is None:
             raise ValueError("document text requires a document timestamp")
-        stamp = [vocab.id_of(form) for form, _, _
-                 in word_spans(render(example.doc_timestamp), lowercase)]
-        doc = [vocab.id_of(form) for form, _, _
-               in word_spans(example.doc_text, lowercase)]
+        stamp = vocab.encode(render(example.doc_timestamp), lowercase)
+        doc = vocab.encode(example.doc_text, lowercase)
         seq = [CLS, *first, SEP, *stamp, *doc, SEP]
     if max_len is not None and len(seq) > max_len:
         seq = seq[: max_len - 1] + [SEP]
@@ -222,7 +220,7 @@ def prepare_labeled(
     return [
         (
             labeled_input_ids(e, vocab, lowercase, max_len),
-            space.index_of(truncate(e.time, space.granularity)),
+            space.index_of(e.time),
         )
         for e in examples
     ]

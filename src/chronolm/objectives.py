@@ -39,7 +39,6 @@ from .corpus import (
     TokenizedDoc,
     Vocab,
     tokenize,
-    word_spans,
 )
 from .errors import EmptyRange, OutOfLabelSpace
 from .temporal import (
@@ -97,17 +96,20 @@ class LabelSpace:
                 f"({self.start.isoformat()})"
             )
 
-    @property
+    @cached_property
+    def _first(self) -> int:
+        return time_index(self.start, self.granularity)
+
+    @cached_property
     def size(self) -> int:
-        return (time_index(self.end, self.granularity)
-                - time_index(self.start, self.granularity) + 1)
+        return time_index(self.end, self.granularity) - self._first + 1
 
     def index_of(self, t: TimePoint) -> int:
-        offset = (time_index(t, self.granularity)
-                  - time_index(self.start, self.granularity))
+        """Index of t, or of the point of this granularity that holds it."""
+        offset = time_index(t, self.granularity) - self._first
         if not 0 <= offset < self.size:
             raise OutOfLabelSpace(
-                f"{t.isoformat()} outside "
+                f"{truncate(t, self.granularity).isoformat()} outside "
                 f"[{self.start.isoformat()}, {self.end.isoformat()}]"
             )
         return offset
@@ -115,8 +117,7 @@ class LabelSpace:
     def point_at(self, index: int) -> TimePoint:
         if not 0 <= index < self.size:
             raise OutOfLabelSpace(f"index {index} outside 0..{self.size - 1}")
-        base = time_index(self.start, self.granularity)
-        return point_from_index(base + index, self.granularity)
+        return point_from_index(self._first + index, self.granularity)
 
     def points(self) -> list[TimePoint]:
         return [self.point_at(i) for i in range(self.size)]
@@ -128,7 +129,7 @@ def build_labelspace(start: TimePoint, end: TimePoint, g: Granularity) -> LabelS
 
 def dtp_label(timestamp: TimePoint, space: LabelSpace) -> int:
     """Class index of a document timestamp inside a label space."""
-    return space.index_of(truncate(timestamp, space.granularity))
+    return space.index_of(timestamp)
 
 
 class MaskAction(enum.Enum):
@@ -422,10 +423,6 @@ class TirExample:
     forced_kept: tuple[int, ...] = ()
 
 
-def _surface_ids(surface: str, vocab: Vocab, lowercase: bool) -> list[int]:
-    return [vocab.id_of(form) for form, _, _ in word_spans(surface, lowercase)]
-
-
 def build_tir(
     doc: Document,
     tokdoc: TokenizedDoc,
@@ -449,7 +446,7 @@ def build_tir(
         raise ValueError("replace_prob must lie in [0, 1]")
     rng = util.rng_from(seed, doc.id, epoch, "tir")
 
-    prefix = _surface_ids(render(doc.timestamp), vocab, lowercase)
+    prefix = vocab.encode(render(doc.timestamp), lowercase)
     seq: list[int] = [CLS, *prefix, SEP]
 
     slots: list[TirSlot] = []
@@ -470,7 +467,7 @@ def build_tir(
         if rng.random() < replace_prob:
             pick = pool.draw_other(group.normalized, rng)
             if pick is not None:
-                tokens = _surface_ids(pick.surface, vocab, lowercase)
+                tokens = vocab.encode(pick.surface, lowercase)
                 label = TIR_REPLACED
             else:
                 forced.append(len(slots))
@@ -557,10 +554,18 @@ def example_provider(
     """Per-epoch example builder over a tagged corpus.
 
     Masking and replacement draws are re-mixed with the epoch number, so
-    every epoch sees fresh plans while staying reproducible.
+    every epoch sees fresh plans while staying reproducible.  Every
+    document is tokenized, and with dtp its timestamp checked against the
+    label space, before the builder is returned.
     """
     objectives = frozenset(objectives)
     docs = [(doc, list(exprs)) for doc, exprs in tagged]
+    if Objective.DTP in objectives and space is not None:
+        for doc, _ in docs:
+            try:
+                dtp_label(doc.timestamp, space)
+            except OutOfLabelSpace as exc:
+                raise OutOfLabelSpace(f"doc {doc.id}: {exc}") from None
     tokdocs = [
         tokenize(doc, vocab, exprs, lowercase=lowercase, max_len=max_len)
         for doc, exprs in docs

@@ -45,6 +45,9 @@ class Granularity(enum.IntEnum):
         return self.name.lower()
 
 
+_TIME_POINT_RX = re.compile(r"(\d{4})(?:-(\d{1,2})(?:-(\d{1,2}))?)?")
+
+
 @dataclass(frozen=True, order=False)
 class TimePoint:
     """A calendar point at year, month, or day granularity.
@@ -84,7 +87,7 @@ class TimePoint:
     @classmethod
     def parse(cls, text: str) -> "TimePoint":
         """Parse "YYYY", "YYYY-MM", or "YYYY-MM-DD"."""
-        m = re.fullmatch(r"(\d{4})(?:-(\d{1,2})(?:-(\d{1,2}))?)?", text.strip())
+        m = _TIME_POINT_RX.fullmatch(text.strip())
         if m is None:
             raise ValueError(f"not a time point: {text!r}")
         year = int(m.group(1))
@@ -133,12 +136,13 @@ def time_index(t: TimePoint, g: Granularity) -> int:
     Years count as calendar years, months as months since year 0, days as
     proleptic Gregorian ordinals.  Requires t truncatable to g.
     """
-    p = truncate(t, g)
+    if g > t.granularity:
+        truncate(t, g)  # raises GranularityRefinementError
     if g is Granularity.YEAR:
-        return p.year
+        return t.year
     if g is Granularity.MONTH:
-        return p.year * 12 + (p.month - 1)
-    return p.to_date().toordinal()
+        return t.year * 12 + (t.month - 1)
+    return date(t.year, t.month, t.day).toordinal()
 
 
 def point_from_index(index: int, g: Granularity) -> TimePoint:

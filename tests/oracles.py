@@ -454,3 +454,81 @@ def annotate(text: str, anchor):
         else:
             out.append((start, end, surface, None, False))
     return out
+
+
+# The word-level tokenizer, vocabulary ranking and expression alignment as
+# ``chronolm.corpus`` wrote them with one match object per token and a scan
+# over every token per expression.  The faster forms must give the same
+# forms, vocabularies, token ids, spans and groups, and the same errors.
+
+_WORD_RX = re.compile(r"\w+|[^\w\s]")
+
+
+class AlignmentError(Exception):
+    """Stands in for the package's AlignmentError; compared by name and message."""
+
+
+def word_spans(text: str, lowercase: bool = False):
+    out = []
+    for m in _WORD_RX.finditer(text):
+        form = m.group(0)
+        out.append((form.lower() if lowercase else form, m.start(), m.end()))
+    return out
+
+
+def vocab_tokens(texts, specials, max_size: int, min_freq: int = 1,
+                 lowercase: bool = False) -> tuple:
+    """Ranked vocabulary of texts (each already prefixed with its rendered
+    timestamp when timestamps count): specials, then by count, then token."""
+    counts: dict = {}
+    for text in texts:
+        for form, _, _ in word_spans(text, lowercase):
+            counts[form] = counts.get(form, 0) + 1
+    ranked = sorted(
+        (t for t, c in counts.items() if c >= min_freq),
+        key=lambda t: (-counts[t], t),
+    )
+    return tuple(specials) + tuple(ranked[: max_size - len(specials)])
+
+
+def tokenize(doc_id: str, text: str, ids: dict, unk: int, expressions,
+             lowercase: bool = False, max_len=None):
+    """expressions are (start, end, resolvable, normalized) tuples.
+
+    Returns (token_ids, token_spans, groups), each group an
+    (expression_index, token_start, token_end, resolvable, normalized) tuple.
+    """
+    full = word_spans(text, lowercase)
+    spans = full
+    if max_len is not None:
+        if max_len < 3:
+            raise ValueError("max_len must be at least 3")
+        spans = full[: max_len - 2]
+    token_ids = tuple(ids.get(form, unk) for form, _, _ in spans)
+
+    groups: list = []
+    for index, (e_start, e_end, resolvable, normalized) in enumerate(expressions):
+        covering = [
+            k for k, (_, s, e) in enumerate(full)
+            if s < e_end and e > e_start
+        ]
+        if not covering:
+            raise AlignmentError(
+                f"doc {doc_id}: expression at {e_start}:{e_end} covers no token"
+            )
+        start, end = covering[0], covering[-1] + 1
+        if len(covering) != end - start:
+            raise AlignmentError(
+                f"doc {doc_id}: expression at {e_start}:{e_end} is not contiguous"
+            )
+        if full[start][1] != e_start or full[end - 1][2] != e_end:
+            raise AlignmentError(
+                f"doc {doc_id}: expression at {e_start}:{e_end} "
+                "does not align with token boundaries"
+            )
+        if end > len(spans):
+            continue
+        if groups and start < groups[-1][2]:
+            continue
+        groups.append((index, start, end, resolvable, normalized))
+    return token_ids, tuple((s, e) for _, s, e in spans), tuple(groups)

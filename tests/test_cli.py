@@ -276,6 +276,33 @@ def test_build_dataset_rejects_bad_tagged_line(workdir, tmp_path, capsys, case):
     assert_one_error_line(rc, capsys, "bad.jsonl line 2", needle)
 
 
+def test_tagged_record_with_bad_timestamp_names_file_and_line(workdir, tmp_path, capsys):
+    good = _tagged_line(lambda e: None)
+    bad = {**json.loads(good), "timestamp": "1990-13-01"}
+    (tmp_path / "bad.jsonl").write_text(f"{good}\n{json.dumps(bad)}\n")
+    rc = run("build-dataset", "--config", workdir / "run.cfg",
+             "--tagged", tmp_path / "bad.jsonl",
+             "--vocab", workdir / "vocab.txt",
+             "--objectives", "tamlm",
+             "--out", tmp_path / "dataset.jsonl")
+    assert_one_error_line(rc, capsys, "bad.jsonl line 2", "month out of range: 13")
+
+
+@pytest.mark.parametrize("command", ["build-dataset", "pretrain"])
+def test_tagged_document_outside_the_label_space_is_named(workdir, tmp_path, capsys,
+                                                          command):
+    good = _tagged_line(lambda e: None)
+    late = {**json.loads(good), "id": "late", "timestamp": "1995-01-05"}
+    (tmp_path / "late.jsonl").write_text(f"{good}\n{json.dumps(late)}\n")
+    rc = run(command, "--config", workdir / "run.cfg",
+             "--tagged", tmp_path / "late.jsonl",
+             "--vocab", workdir / "vocab.txt",
+             "--objectives", "dtp",
+             "--out", tmp_path / "out")
+    assert_one_error_line(rc, capsys, "late.jsonl: doc late:",
+                          "1995-01 outside [1990-01, 1990-12]")
+
+
 def test_tag_at_the_calendar_edges_round_trips(workdir, tmp_path):
     # Shifts past years 1-9999 are tagged unresolvable, so the tagged file
     # loads again.
@@ -418,6 +445,26 @@ def test_labeled_data_rejects_bad_record(workdir, tmp_path, capsys, command, cas
     assert_one_error_line(rc, capsys, "bad.jsonl line 2", needle)
 
 
+@pytest.mark.parametrize("command", ["finetune", "eval", "ablate"])
+def test_labeled_event_outside_the_label_space_is_named(workdir, tmp_path, capsys,
+                                                        command):
+    good = (workdir / "events.jsonl").read_text().splitlines()[0]
+    (tmp_path / "old.jsonl").write_text(f'{good}\n{{"text": "long ago", "time": "1950"}}\n')
+    config = workdir / "year.cfg"
+    if command == "finetune":
+        flags = ["--train-data", tmp_path / "old.jsonl", "--checkpoint", workdir / "enc.ckpt"]
+    elif command == "eval":
+        flags = ["--data", tmp_path / "old.jsonl", "--checkpoint", workdir / "tuned.ckpt"]
+    else:
+        config = workdir / "run.cfg"
+        flags = ["--tagged", workdir / "tagged.jsonl", "--eval-train", tmp_path / "old.jsonl",
+                 "--eval-test", workdir / "events.jsonl", "--eval-start", 1990,
+                 "--eval-end", 1994, "--eval-granularity", "year"]
+    rc = run(command, "--config", config, *flags,
+             "--vocab", workdir / "vocab.txt", "--out", tmp_path / "out")
+    assert_one_error_line(rc, capsys, "old.jsonl line 2", "1950 outside [1990, 1994]")
+
+
 def test_ablate_minimal(workdir):
     events = [json.loads(l) for l in
               (workdir / "events.jsonl").read_text().splitlines()]
@@ -471,7 +518,9 @@ def test_malformed_corpus_names_line(tmp_path, capsys):
     bad.write_text('{"id": "a", "timestamp": "2000-01-01", "text": "x"}\n{broken\n')
     rc = run("tag", "--corpus", bad, "--out", tmp_path / "out.jsonl")
     assert rc == 1
-    assert "line 2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "line 2" in err
+    assert f"{bad} line 2: invalid JSON" in err
 
 
 def test_flag_overrides_config_seed(workdir, tmp_path):
