@@ -31,7 +31,6 @@ from .corpus import (
 from .errors import (
     AlignmentError,
     ChronoError,
-    GranularityRefinementError,
     LabelOutOfRange,
     MalformedRecord,
     OutOfLabelSpace,
@@ -95,26 +94,18 @@ def _string(obj: dict, key: str) -> str:
 
 def _load_labeled(path: str, space: Optional[LabelSpace] = None) -> list[LabeledExample]:
     """Labelled events from a JSONL file; with a space, every time must lie in it."""
-    out = []
-    for lineno, obj in util.read_jsonl(path):
-        try:
-            if not isinstance(obj, dict):
-                raise ValueError("record is not a JSON object")
-            time = TimePoint.parse(_string(obj, "time"))
-            if space is not None:
-                space.index_of(time)
-            doc_ts = (TimePoint.parse(_string(obj, "doc_timestamp"))
-                      if obj.get("doc_timestamp") else None)
-            doc_text = (_string(obj, "doc_text")
-                        if obj.get("doc_text") is not None else None)
-            out.append(LabeledExample(
-                text=_string(obj, "text"), time=time,
-                doc_timestamp=doc_ts, doc_text=doc_text,
-            ))
-        except (KeyError, ValueError) as exc:
-            raise MalformedRecord(f"{path} line {lineno}: {exc}") from None
-        except (GranularityRefinementError, OutOfLabelSpace) as exc:
-            raise type(exc)(f"{path} line {lineno}: {exc}") from None
+    def parse(obj: dict) -> LabeledExample:
+        time = TimePoint.parse(_string(obj, "time"))
+        if space is not None:
+            space.index_of(time)
+        doc_ts = (TimePoint.parse(_string(obj, "doc_timestamp"))
+                  if obj.get("doc_timestamp") else None)
+        doc_text = (_string(obj, "doc_text")
+                    if obj.get("doc_text") is not None else None)
+        return LabeledExample(text=_string(obj, "text"), time=time,
+                              doc_timestamp=doc_ts, doc_text=doc_text)
+
+    out = list(util.read_jsonl(path, parse))
     if not out:
         raise MalformedRecord(f"{path}: no labeled records")
     return out
@@ -203,8 +194,8 @@ def cmd_build_dataset(args, cfg: RunConfig) -> None:
     print(f"{len(records)} examples -> {out}")
 
 
-def _unused(where: str, what: str, need: str) -> MalformedRecord:
-    return MalformedRecord(f"{where}: {what}, but the objective set "
+def _unused(what: str, need: str) -> MalformedRecord:
+    return MalformedRecord(f"{what}, but the objective set "
                            f"(--objectives or [train] objectives) has no {need}")
 
 
@@ -216,31 +207,26 @@ def _load_dataset(path: str, vocab: Vocab, objectives: frozenset[Objective],
     masked labels need mlm or tamlm, and timestamp labels need dtp (k_dtp
     is None without it).
     """
-    examples = []
-    for lineno, obj in util.read_jsonl(path):
-        where = f"{path} line {lineno}"
-        try:
-            example = example_from_json(obj)
-        except ValueError as exc:
-            raise MalformedRecord(f"{where}: {exc}") from None
+    def parse(obj: dict) -> PretrainExample | TirExample:
+        example = example_from_json(obj)
         if not all(0 <= t < vocab.size for t in example.input_ids):
-            raise UnknownTokenId(f"{where}: token id outside 0..{vocab.size - 1}")
+            raise UnknownTokenId(f"token id outside 0..{vocab.size - 1}")
         if isinstance(example, TirExample) and Objective.TIR not in objectives:
-            raise _unused(where, "tir example", "tir")
+            raise _unused("tir example", "tir")
         if isinstance(example, PretrainExample):
             masked = [t for t in example.mlm_labels if t != IGNORE_INDEX]
             if masked and not objectives & {Objective.MLM, Objective.TAMLM}:
-                raise _unused(where, "masked labels", "mlm or tamlm")
+                raise _unused("masked labels", "mlm or tamlm")
             if not all(0 <= t < vocab.size for t in masked):
-                raise LabelOutOfRange(
-                    f"{where}: mlm label outside 0..{vocab.size - 1}")
+                raise LabelOutOfRange(f"mlm label outside 0..{vocab.size - 1}")
             label = example.dtp_label
             if label is not None and k_dtp is None:
-                raise _unused(where, "timestamp label", "dtp")
+                raise _unused("timestamp label", "dtp")
             if label is not None and not 0 <= label < k_dtp:
-                raise LabelOutOfRange(
-                    f"{where}: dtp label {label} outside 0..{k_dtp - 1}")
-        examples.append(example)
+                raise LabelOutOfRange(f"dtp label {label} outside 0..{k_dtp - 1}")
+        return example
+
+    examples = list(util.read_jsonl(path, parse))
     if not examples:
         raise MalformedRecord(f"{path}: no examples")
     return examples
@@ -301,19 +287,16 @@ def _parse_granularities(text: Optional[str], default: Granularity):
             for p in text.split(",") if p.strip()]
 
 
+def _prediction(obj: dict) -> Prediction:
+    predicted = TimePoint.parse(_string(obj, "predicted"))
+    gold = TimePoint.parse(_string(obj, "gold"))
+    return Prediction(predicted, gold, min(predicted.granularity, gold.granularity))
+
+
 def cmd_eval(args, cfg: RunConfig) -> None:
     out = _need(args, cfg, "out")
     if args.predictions:
-        predictions = []
-        for lineno, obj in util.read_jsonl(args.predictions):
-            try:
-                predicted = TimePoint.parse(obj["predicted"])
-                gold = TimePoint.parse(obj["gold"])
-            except (KeyError, ValueError) as exc:
-                raise MalformedRecord(
-                    f"{args.predictions} line {lineno}: {exc}") from None
-            g = min(predicted.granularity, gold.granularity)
-            predictions.append(Prediction(predicted, gold, g))
+        predictions = list(util.read_jsonl(args.predictions, _prediction))
         if not predictions:
             raise MalformedRecord(f"{args.predictions}: no prediction records")
         default = min(p.granularity for p in predictions)

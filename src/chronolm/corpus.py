@@ -9,13 +9,12 @@ the minimal contiguous token range covering their character span.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from . import util
 from .errors import (
@@ -31,6 +30,8 @@ SPECIAL_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
 
 _TOKEN_RX = re.compile(r"\w+|[^\w\s]")
 _TIMESTAMP_RX = re.compile(r"(\d{4})-(\d{2})-(\d{2})")
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -103,31 +104,51 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str) -> "Vocab":
-        with open(path, "r", encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
-        return cls(tokens)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
+            return cls(tokens)
+        except ValueError as exc:  # also a file that is not UTF-8
+            raise MalformedRecord(f"{path}: {exc}") from None
 
 
-def parse_document(obj: dict, where: str = "record") -> Document:
-    """Validate one corpus record; where prefixes every error message."""
-    if not isinstance(obj, dict):
-        raise MalformedRecord(f"{where}: not an object")
+def parse_document(obj: dict) -> Document:
+    """Validate one corpus record."""
     for field in ("id", "timestamp", "text"):
         if field not in obj:
-            raise MalformedRecord(f"{where}: missing field {field!r}")
+            raise MalformedRecord(f"missing field {field!r}")
     doc_id, stamp, text = obj["id"], obj["timestamp"], obj["text"]
     if not isinstance(doc_id, str) or not doc_id:
-        raise MalformedRecord(f"{where}: id must be a non-empty string")
+        raise MalformedRecord("id must be a non-empty string")
     if not isinstance(text, str):
-        raise MalformedRecord(f"{where}: text must be a string")
+        raise MalformedRecord("text must be a string")
     m = _TIMESTAMP_RX.fullmatch(stamp) if isinstance(stamp, str) else None
     if m is None:
-        raise InvalidTimestamp(f"{where}: timestamp must look like YYYY-MM-DD")
+        raise InvalidTimestamp("timestamp must look like YYYY-MM-DD")
     try:
         point = TimePoint(int(m[1]), int(m[2]), int(m[3]))
     except ValueError as exc:
-        raise InvalidTimestamp(f"{where}: {exc}") from None
+        raise InvalidTimestamp(str(exc)) from None
     return Document(doc_id, point, text)
+
+
+def _unseen(doc: Document, seen: set[str]) -> Document:
+    """The document, once its id is added to seen; a repeated id is an error."""
+    if doc.id in seen:
+        raise MalformedRecord(f"duplicate id {doc.id!r}")
+    seen.add(doc.id)
+    return doc
+
+
+def _documents(path: str, parse: Callable[[dict, set[str]], T]) -> Iterator[T]:
+    """parse(record, ids seen so far) over a file's records, at least one."""
+    seen: set[str] = set()
+    count = 0
+    for item in util.read_jsonl(path, lambda obj: parse(obj, seen)):
+        count += 1
+        yield item
+    if count == 0:
+        raise EmptyCorpus(f"no documents in {path}")
 
 
 def load_corpus(path: str) -> Iterator[Document]:
@@ -137,25 +158,7 @@ def load_corpus(path: str) -> Iterator[Document]:
     fields, or duplicate ids; InvalidTimestamp on calendar-invalid stamps;
     EmptyCorpus when the file holds no records.
     """
-    seen: set[str] = set()
-    count = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path} line {lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(f"{where}: invalid JSON ({exc.msg})") from None
-            doc = parse_document(obj, where)
-            if doc.id in seen:
-                raise MalformedRecord(f"{where}: duplicate id {doc.id!r}")
-            seen.add(doc.id)
-            count += 1
-            yield doc
-    if count == 0:
-        raise EmptyCorpus(f"no documents in {path}")
+    yield from _documents(path, lambda obj, seen: _unseen(parse_document(obj), seen))
 
 
 def build_vocab(
@@ -314,27 +317,17 @@ def tagged_to_json(doc: Document, expressions: Sequence[TemporalExpression]) -> 
     }
 
 
+def _tagged_record(obj: dict, seen: set[str]) -> tuple[Document, list[TemporalExpression]]:
+    if not isinstance(obj.get("expressions"), list):
+        raise MalformedRecord("not a tagged record")
+    doc = parse_document(obj)
+    exprs = [expression_from_json(e) for e in obj["expressions"]]
+    return _unseen(doc, seen), exprs
+
+
 def load_tagged(path: str) -> Iterator[tuple[Document, list[TemporalExpression]]]:
-    """Stream (document, expressions) pairs from a tagged JSONL file."""
-    count = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path} line {lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(f"{where}: invalid JSON ({exc.msg})") from None
-            if (not isinstance(obj, dict) or "text" not in obj
-                    or not isinstance(obj.get("expressions"), list)):
-                raise MalformedRecord(f"{where}: not a tagged record")
-            doc = parse_document(obj, where)
-            try:
-                exprs = [expression_from_json(e) for e in obj["expressions"]]
-            except ValueError as exc:
-                raise MalformedRecord(f"{where}: {exc}") from None
-            count += 1
-            yield doc, exprs
-    if count == 0:
-        raise EmptyCorpus(f"no documents in {path}")
+    """Stream (document, expressions) pairs from a tagged JSONL file.
+
+    Raises as load_corpus does, and MalformedRecord on a bad expression.
+    """
+    yield from _documents(path, _tagged_record)

@@ -273,21 +273,10 @@ def finetune(
     return ckpt, log
 
 
-def encode(
-    checkpoint: EncoderCheckpoint,
-    input_ids: Sequence[int],
-    train_mode: bool = False,
-    seed: int = 0,
-) -> np.ndarray:
-    """Per-position hidden states for one sequence, shape (length, d_model).
-
-    Inference mode is deterministic; train mode applies dropout drawn from
-    the seed.
-    """
+def encode(checkpoint: EncoderCheckpoint, input_ids: Sequence[int]) -> np.ndarray:
+    """Inference-mode hidden states for one sequence, shape (length, d_model)."""
     ids = np.asarray(input_ids, dtype=np.int64)[None, :]
-    rng = util.rng_from(seed, "encode") if train_mode else None
-    hidden, _ = encoder_forward(checkpoint.params, checkpoint.config, ids,
-                                train=train_mode, rng=rng)
+    hidden, _ = encoder_forward(checkpoint.params, checkpoint.config, ids)
     return hidden[0]
 
 

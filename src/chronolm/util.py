@@ -1,4 +1,5 @@
-"""Small shared helpers: seed mixing, deterministic RNG, atomic file writes."""
+"""Small shared helpers: seed mixing, deterministic RNG, atomic file writes,
+the JSONL record reader."""
 
 from __future__ import annotations
 
@@ -6,11 +7,13 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
-from .errors import MalformedRecord
+from .errors import ChronoError, MalformedRecord
+
+T = TypeVar("T")
 
 
 def mix(*parts: Any) -> int:
@@ -62,15 +65,40 @@ def write_jsonl(path: str, records: Iterable[dict]) -> None:
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
-    """Yield (1-based line number, parsed object), skipping blank lines."""
+def _record(line: str, parse: Callable[[dict], T]) -> T:
+    """parse(the line's JSON object); every error is a ChronoError."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise MalformedRecord(f"invalid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise MalformedRecord("invalid JSON (nested too deeply)") from None
+    if not isinstance(obj, dict):
+        raise MalformedRecord("not a JSON object")
+    try:
+        return parse(obj)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise MalformedRecord(str(exc)) from None
+
+
+def read_jsonl(path: str, parse: Callable[[dict], T]) -> Iterator[T]:
+    """Yield parse(record) for each JSON object line of a file.
+
+    Blank lines are skipped.  Every error names "<path> line <n>" (1-based):
+    invalid JSON, a line that is not a JSON object, and a ValueError,
+    KeyError or TypeError from parse raise MalformedRecord; a ChronoError
+    from parse is raised again as its own type.  A file that is not UTF-8
+    raises MalformedRecord naming the file.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(
-                    f"{path} line {lineno}: invalid JSON ({exc.msg})") from None
-            yield lineno, obj
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = _record(line, parse)
+                except ChronoError as exc:
+                    raise type(exc)(f"{path} line {lineno}: {exc}") from None
+                yield record
+        except UnicodeDecodeError as exc:
+            raise MalformedRecord(f"{path}: not UTF-8 text ({exc.reason})") from None

@@ -376,6 +376,23 @@ def test_eval_predictions_mode(workdir):
     assert rows["mae"] == 0.5
 
 
+BAD_PREDICTIONS = {
+    "list": ("[1, 2]", "not a JSON object"),
+    "string": ('"x"', "not a JSON object"),
+    "predicted-not-string": ('{"predicted": 1990, "gold": "1990"}',
+                             "predicted must be a string"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PREDICTIONS))
+def test_eval_rejects_bad_prediction_record(tmp_path, capsys, case):
+    line, needle = BAD_PREDICTIONS[case]
+    (tmp_path / "preds.jsonl").write_text(f"{line}\n")
+    rc = run("eval", "--predictions", tmp_path / "preds.jsonl",
+             "--out", tmp_path / "out.csv")
+    assert_one_error_line(rc, capsys, "preds.jsonl line 1", needle)
+
+
 def test_probe(workdir):
     rc = run("probe", "--config", workdir / "year.cfg",
              "--checkpoint", workdir / "enc.ckpt",
@@ -521,6 +538,25 @@ def test_malformed_corpus_names_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "line 2" in err
     assert f"{bad} line 2: invalid JSON" in err
+
+
+def test_non_utf8_input_is_reported(tmp_path, capsys):
+    bad = tmp_path / "utf16.jsonl"
+    bad.write_bytes('{"id": "a", "timestamp": "2000-01-01", "text": "x"}\n'
+                    .encode("utf-16"))
+    assert bad.read_bytes().startswith(b"\xff\xfe")
+    rc = run("tag", "--corpus", bad, "--out", tmp_path / "out.jsonl")
+    assert_one_error_line(rc, capsys, f"{bad}: not UTF-8")
+
+
+def test_vocabulary_without_special_tokens_is_reported(workdir, tmp_path, capsys):
+    (tmp_path / "vocab.txt").write_text("the\nof\n")
+    rc = run("build-dataset", "--config", workdir / "run.cfg",
+             "--tagged", workdir / "tagged.jsonl",
+             "--vocab", tmp_path / "vocab.txt",
+             "--objectives", "tamlm",
+             "--out", tmp_path / "dataset.jsonl")
+    assert_one_error_line(rc, capsys, f"{tmp_path / 'vocab.txt'}:", "special tokens")
 
 
 def test_flag_overrides_config_seed(workdir, tmp_path):

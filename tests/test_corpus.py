@@ -155,6 +155,15 @@ def test_load_corpus_rejects_duplicate_ids(tmp_path):
         list(load_corpus(str(path)))
 
 
+def test_load_tagged_rejects_duplicate_ids(tmp_path):
+    doc = Document("d1", TimePoint(2001, 5, 20), "Filed in 1993.")
+    record = tagged_to_json(doc, annotate(doc.text, doc.timestamp))
+    path = tmp_path / "dup.jsonl"
+    write_jsonl(path, [record, record])
+    with pytest.raises(MalformedRecord, match="line 2: duplicate id 'd1'"):
+        list(load_tagged(str(path)))
+
+
 def test_load_corpus_empty_file_raises(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
