@@ -184,14 +184,10 @@ def cmd_build_dataset(args, cfg: RunConfig) -> None:
     objectives = parse_value("--objectives", Objective.parse_set, args.objectives)
     space = _space_or_fail(cfg) if Objective.DTP in objectives else cfg.label_space()
     provider = _provider(args, cfg, vocab, objectives, space)
-    records = []
-    for example in provider(args.epoch):
-        if isinstance(example, PretrainExample):
-            records.append(pretrain_example_to_json(example))
-        else:
-            records.append(tir_example_to_json(example))
-    util.write_jsonl(out, records)
-    print(f"{len(records)} examples -> {out}")
+    examples = provider(args.epoch)
+    util.write_jsonl(out, (pretrain_example_to_json(e) if isinstance(e, PretrainExample)
+                           else tir_example_to_json(e) for e in examples))
+    print(f"{len(examples)} examples -> {out}")
 
 
 def _unused(what: str, need: str) -> MalformedRecord:

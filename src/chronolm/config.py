@@ -75,6 +75,33 @@ def _to_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _read(parser: configparser.ConfigParser, path: str) -> None:
+    """Read a config file into parser; what it cannot read is one error
+    naming the file, and the line where there is one."""
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise MalformedRecord(f"config file not found: {path}")
+    except UnicodeDecodeError as exc:
+        raise MalformedRecord(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except configparser.MissingSectionHeaderError as exc:
+        raise MalformedRecord(
+            f"{path} line {exc.lineno}: a setting before any [section] header"
+        ) from None
+    except configparser.ParsingError as exc:
+        lineno, line = exc.errors[0]  # line is already a repr
+        raise MalformedRecord(
+            f"{path} line {lineno}: not a [section] or key = value line: {line}"
+        ) from None
+    except configparser.DuplicateOptionError as exc:
+        raise MalformedRecord(
+            f"{path} line {exc.lineno}: [{exc.section}] {exc.option} is set twice"
+        ) from None
+    except configparser.DuplicateSectionError as exc:
+        raise MalformedRecord(
+            f"{path} line {exc.lineno}: [{exc.section}] appears twice"
+        ) from None
+
+
 @dataclass
 class RunConfig:
     """All tunable settings for the command-line pipeline."""
@@ -97,9 +124,7 @@ class RunConfig:
         parser = configparser.ConfigParser()
         parser.read_dict(_DEFAULTS)
         if path is not None:
-            read = parser.read(path)
-            if not read:
-                raise MalformedRecord(f"config file not found: {path}")
+            _read(parser, path)
         try:
             cfg = cls(
                 paths=dict(parser["paths"]),

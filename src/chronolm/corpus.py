@@ -112,8 +112,21 @@ class Vocab:
             raise MalformedRecord(f"{path}: {exc}") from None
 
 
-def parse_document(obj: dict) -> Document:
-    """Validate one corpus record."""
+def parse_timestamp(stamp: str) -> TimePoint:
+    """The day a document timestamp "YYYY-MM-DD" names."""
+    m = _TIMESTAMP_RX.fullmatch(stamp)
+    if m is None:
+        raise InvalidTimestamp("timestamp must look like YYYY-MM-DD")
+    try:
+        return TimePoint(int(m[1]), int(m[2]), int(m[3]))
+    except ValueError as exc:
+        raise InvalidTimestamp(str(exc)) from None
+
+
+def parse_document(
+    obj: dict, timestamp: Callable[[str], TimePoint] = parse_timestamp,
+) -> Document:
+    """Validate one corpus record; timestamp parses its timestamp string."""
     for field in ("id", "timestamp", "text"):
         if field not in obj:
             raise MalformedRecord(f"missing field {field!r}")
@@ -122,14 +135,9 @@ def parse_document(obj: dict) -> Document:
         raise MalformedRecord("id must be a non-empty string")
     if not isinstance(text, str):
         raise MalformedRecord("text must be a string")
-    m = _TIMESTAMP_RX.fullmatch(stamp) if isinstance(stamp, str) else None
-    if m is None:
+    if not isinstance(stamp, str):
         raise InvalidTimestamp("timestamp must look like YYYY-MM-DD")
-    try:
-        point = TimePoint(int(m[1]), int(m[2]), int(m[3]))
-    except ValueError as exc:
-        raise InvalidTimestamp(str(exc)) from None
-    return Document(doc_id, point, text)
+    return Document(doc_id, timestamp(stamp), text)
 
 
 def _unseen(doc: Document, seen: set[str]) -> Document:
@@ -158,7 +166,9 @@ def load_corpus(path: str) -> Iterator[Document]:
     fields, or duplicate ids; InvalidTimestamp on calendar-invalid stamps;
     EmptyCorpus when the file holds no records.
     """
-    yield from _documents(path, lambda obj, seen: _unseen(parse_document(obj), seen))
+    stamps = util.Memo(parse_timestamp)
+    yield from _documents(
+        path, lambda obj, seen: _unseen(parse_document(obj, stamps.__getitem__), seen))
 
 
 def build_vocab(
@@ -277,7 +287,7 @@ def tokenize(
             continue  # token already claimed by an earlier expression
         groups.append(TemporalGroup(index, start, end, expr.resolvable,
                                     expr.normalized))
-    return TokenizedDoc(doc.id, tuple(map(vocab.id_of, forms)),
+    return TokenizedDoc(doc.id, tuple(map(vocab._ids.get, forms, repeat(UNK))),
                         tuple(zip(starts[:kept], ends[:kept])), tuple(groups))
 
 
@@ -291,8 +301,13 @@ def expression_to_json(expr: TemporalExpression) -> dict:
     }
 
 
-def expression_from_json(obj: dict) -> TemporalExpression:
-    """Inverse of expression_to_json; raises ValueError on a malformed record."""
+def expression_from_json(
+    obj: dict, point: Callable[[str], TimePoint] = TimePoint.parse,
+) -> TemporalExpression:
+    """Inverse of expression_to_json; raises ValueError on a malformed record.
+
+    point parses the normalized string.
+    """
     if not isinstance(obj, dict):
         raise ValueError("expression is not an object")
     for key in ("start", "end", "surface"):
@@ -304,8 +319,8 @@ def expression_from_json(obj: dict) -> TemporalExpression:
         raise ValueError("expression start/end must be integers and surface a string")
     if normalized is not None and not isinstance(normalized, str):
         raise ValueError(f"expression normalized must be a string, not {normalized!r}")
-    point = None if normalized is None else TimePoint.parse(normalized)
-    return TemporalExpression(start, end, surface, point, point is not None)
+    value = None if normalized is None else point(normalized)
+    return TemporalExpression(start, end, surface, value, value is not None)
 
 
 def tagged_to_json(doc: Document, expressions: Sequence[TemporalExpression]) -> dict:
@@ -317,17 +332,19 @@ def tagged_to_json(doc: Document, expressions: Sequence[TemporalExpression]) -> 
     }
 
 
-def _tagged_record(obj: dict, seen: set[str]) -> tuple[Document, list[TemporalExpression]]:
-    if not isinstance(obj.get("expressions"), list):
-        raise MalformedRecord("not a tagged record")
-    doc = parse_document(obj)
-    exprs = [expression_from_json(e) for e in obj["expressions"]]
-    return _unseen(doc, seen), exprs
-
-
 def load_tagged(path: str) -> Iterator[tuple[Document, list[TemporalExpression]]]:
     """Stream (document, expressions) pairs from a tagged JSONL file.
 
     Raises as load_corpus does, and MalformedRecord on a bad expression.
+    Each distinct timestamp and normalized string is parsed once per call.
     """
-    yield from _documents(path, _tagged_record)
+    stamps, points = util.Memo(parse_timestamp), util.Memo(TimePoint.parse)
+
+    def record(obj: dict, seen: set[str]) -> tuple[Document, list[TemporalExpression]]:
+        if not isinstance(obj.get("expressions"), list):
+            raise MalformedRecord("not a tagged record")
+        doc = parse_document(obj, stamps.__getitem__)
+        exprs = [expression_from_json(e, points.__getitem__) for e in obj["expressions"]]
+        return _unseen(doc, seen), exprs
+
+    yield from _documents(path, record)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .. import util
 from ..corpus import CLS, PAD, SEP, Vocab
-from ..errors import LabelOutOfRange
+from ..errors import LabelOutOfRange, NonFiniteGradient
 from ..objectives import (
     IGNORE_INDEX,
     LabelSpace,
@@ -141,20 +141,28 @@ def pretrain(
         swapped = [e for e in examples if isinstance(e, TirExample)]
 
         order_rng = util.rng_from(seed, "order", epoch)
-        streams: list[list[Batch]] = []
+        # Accumulation groups of (micro-batch, its doc ids), per example kind.
+        streams: list[list[list[tuple[Batch, list[str]]]]] = []
         for group, builder in ((masked, pretrain_batch), (swapped, tir_batch)):
             if not group:
                 continue
             idx = order_rng.permutation(len(group))
             shuffled = [group[i] for i in idx]
-            micro = [builder(c) for c in _chunks(shuffled, train_cfg.batch_size)]
+            micro = [(builder(c), [e.doc_id for e in c])
+                     for c in _chunks(shuffled, train_cfg.batch_size)]
             streams.append(_chunks(micro, train_cfg.grad_accumulation))
 
         drop_rng = util.rng_from(seed, "dropout", epoch)
         n_steps = max((len(s) for s in streams), default=0)
         for i in range(n_steps):
-            group = [b for s in streams if i < len(s) for b in s[i]]
-            losses = _run_step(params, model_cfg, group, train_cfg, state, drop_rng)
+            group = [m for s in streams if i < len(s) for m in s[i]]
+            try:
+                losses = _run_step(params, model_cfg, [b for b, _ in group],
+                                   train_cfg, state, drop_rng)
+            except NonFiniteGradient as exc:
+                docs = ", ".join(dict.fromkeys(d for _, ids in group for d in ids))
+                raise NonFiniteGradient(
+                    f"step {step + 1} (epoch {epoch}, docs {docs}): {exc}") from None
             step += 1
             for component in sorted(losses):
                 log.append((step, _component_name(component, train_cfg.objectives),
@@ -265,7 +273,10 @@ def finetune(
             micro.append(Batch(ids=ids, cls_labels=labels))
         drop_rng = util.rng_from(seed, "dropout", epoch)
         for group in _chunks(micro, train_cfg.grad_accumulation):
-            losses = _run_step(params, cfg, group, train_cfg, state, drop_rng)
+            try:
+                losses = _run_step(params, cfg, group, train_cfg, state, drop_rng)
+            except NonFiniteGradient as exc:
+                raise NonFiniteGradient(f"step {step + 1} (epoch {epoch}): {exc}") from None
             step += 1
             for component in sorted(losses):
                 log.append((step, component, losses[component]))

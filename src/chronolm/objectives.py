@@ -16,7 +16,9 @@ Three time-aware objectives plus the plain masking baseline:
 * mlm: the uniform masking baseline, with no knowledge of expressions.
 
 All sampling is driven by a seed mixed with the document id and epoch, so
-plans are reproducible and re-drawn per epoch.
+plans are reproducible and re-drawn per epoch: each document draws from
+PCG64(mix(seed, doc id, epoch, kind)), and example_provider derives the
+streams of a whole epoch at once (util.rng_streams).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 from math import ceil
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -157,13 +159,13 @@ class MaskPlan:
             raise ValueError("positions must be sorted and unique")
 
 
+_ACTIONS = (MaskAction.MASK, MaskAction.RANDOM, MaskAction.KEEP)
+
+
 def _draw_actions(rng: np.random.Generator, count: int) -> tuple[MaskAction, ...]:
-    # 80% mask token, 10% random token, 10% keep the original.
-    u = rng.random(count)
-    return tuple(
-        MaskAction.MASK if x < 0.8 else (MaskAction.RANDOM if x < 0.9 else MaskAction.KEEP)
-        for x in u
-    )
+    # 80% mask token, 10% random token, 10% keep the original: a draw
+    # below 0.8 masks, one below 0.9 is random, the rest keep.
+    return tuple([_ACTIONS[(u >= 0.8) + (u >= 0.9)] for u in rng.random(count).tolist()])
 
 
 def plan_tamlm(
@@ -200,12 +202,17 @@ def plan_tamlm(
 
     budget = ceil(mask_budget * n)
     if len(masked) < budget:
-        protected = {p for g in groups for p in g.positions}
-        eligible = [p for p in range(n) if p not in protected]
+        # Ordinary tokens are the gaps between the group ranges, ascending.
+        eligible: list[int] = []
+        cursor = 0
+        for start, end in sorted((g.token_start, g.token_end) for g in groups):
+            eligible.extend(range(cursor, min(start, n)))
+            cursor = max(cursor, end)
+        eligible.extend(range(cursor, n))
         need = min(budget - len(masked), len(eligible))
         if need:
             picks = rng.choice(len(eligible), size=need, replace=False)
-            masked.update(eligible[i] for i in picks.tolist())
+            masked.update(map(eligible.__getitem__, picks.tolist()))
 
     positions = tuple(sorted(masked))
     return MaskPlan(sampled, positions, _draw_actions(rng, len(positions)))
@@ -258,6 +265,7 @@ def apply_plan(
     plan: MaskPlan,
     vocab: Vocab,
     rng: int | np.random.Generator,
+    dtp_label: Optional[int] = None,
 ) -> PretrainExample:
     """Realize a masking plan into a delimited example.
 
@@ -268,17 +276,22 @@ def apply_plan(
     n = len(tokdoc.token_ids)
     ids = [CLS, *tokdoc.token_ids, SEP]
     labels = [IGNORE_INDEX] * len(ids)
-    n_special = len(SPECIAL_TOKENS)
+    random_at = []
     for position, action in zip(plan.masked_positions, plan.actions):
         if not 0 <= position < n:
             raise ValueError(f"plan position {position} outside document")
         at = position + 1  # shift past [CLS]
-        labels[at] = tokdoc.token_ids[position]
+        labels[at] = ids[at]
         if action is MaskAction.MASK:
             ids[at] = MASK_ID
         elif action is MaskAction.RANDOM:
-            ids[at] = int(rng.integers(n_special, vocab.size))
-    return PretrainExample(tokdoc.doc_id, tuple(ids), tuple(labels))
+            random_at.append(at)
+    if random_at:
+        # One draw of k ids makes the same draws as k scalar draws.
+        drawn = rng.integers(len(SPECIAL_TOKENS), vocab.size, size=len(random_at))
+        for at, token in zip(random_at, drawn.tolist()):
+            ids[at] = token
+    return PretrainExample(tokdoc.doc_id, tuple(ids), tuple(labels), dtp_label)
 
 
 def build_pretrain_example(
@@ -291,31 +304,40 @@ def build_pretrain_example(
     vocab: Vocab,
     seed: int,
     epoch: int = 0,
+    rng: Optional[np.random.Generator] = None,
+    label: Optional[int] = None,
 ) -> PretrainExample:
     """Build the masked example for one document under an objective set.
 
     TAMLM and MLM are mutually exclusive masking styles; with neither, the
-    input passes through unmasked (timestamp prediction alone).
+    input passes through unmasked (timestamp prediction alone).  rng, when
+    given, stands for the document's stream
+    rng_from(seed, doc.id, epoch, "mask"), and label, when given, for its
+    dtp label in space.
     """
     objectives = frozenset(objectives)
     if {Objective.TAMLM, Objective.MLM} <= objectives:
         raise ValueError("tamlm and mlm masking are mutually exclusive")
-    rng = util.rng_from(seed, doc.id, epoch, "mask")
+    if rng is None:
+        rng = util.rng_from(seed, doc.id, epoch, "mask")
     if Objective.TAMLM in objectives:
         plan = plan_tamlm(tokdoc, temporal_mask_ratio, mask_budget, rng)
     elif Objective.MLM in objectives:
         plan = plan_mlm(tokdoc, mask_budget, rng)
     else:
         plan = MaskPlan((), (), ())
-    example = apply_plan(tokdoc, plan, vocab, rng)
-    if Objective.DTP in objectives:
+    if Objective.DTP not in objectives:
+        label = None
+    elif label is None:
         if space is None:
             raise ValueError("timestamp prediction requires a label space")
-        example = PretrainExample(
-            example.doc_id, example.input_ids, example.mlm_labels,
-            dtp_label=dtp_label(doc.timestamp, space),
-        )
-    return example
+        label = dtp_label(doc.timestamp, space)
+    return apply_plan(tokdoc, plan, vocab, rng, label)
+
+
+def _encodings(vocab: Vocab, lowercase: bool) -> Mapping[str, tuple[int, ...]]:
+    """text -> vocab.encode(text, lowercase), each text encoded once."""
+    return util.Memo(lambda text: tuple(vocab.encode(text, lowercase)))
 
 
 @dataclass(frozen=True)
@@ -433,6 +455,8 @@ def build_tir(
     epoch: int = 0,
     lowercase: bool = False,
     max_len: Optional[int] = None,
+    rng: Optional[np.random.Generator] = None,
+    encoded: Optional[Mapping[str, Sequence[int]]] = None,
 ) -> TirExample:
     """Build a replacement-detection example for one document.
 
@@ -440,41 +464,46 @@ def build_tir(
     replace_prob by a pool entry of the same granularity whose value
     differs.  An empty candidate pool forces the expression to stay, still
     recorded as a kept slot.  Expressions that sit flush against the
-    previous one (no boundary token between them) produce no slot.
+    previous one (no boundary token between them) produce no slot.  rng,
+    when given, stands for the document's stream
+    rng_from(seed, doc.id, epoch, "tir"), and encoded[text] for
+    vocab.encode(text, lowercase).
     """
     if not 0.0 <= replace_prob <= 1.0:
         raise ValueError("replace_prob must lie in [0, 1]")
-    rng = util.rng_from(seed, doc.id, epoch, "tir")
+    if rng is None:
+        rng = util.rng_from(seed, doc.id, epoch, "tir")
+    if encoded is None:
+        encoded = _encodings(vocab, lowercase)
 
-    prefix = vocab.encode(render(doc.timestamp), lowercase)
-    seq: list[int] = [CLS, *prefix, SEP]
-
+    token_ids = tokdoc.token_ids
+    seq: list[int] = [CLS, *encoded[render(doc.timestamp)], SEP]
     slots: list[TirSlot] = []
     forced: list[int] = []
     cursor = 0
     last_group_end = -1
     for group in tokdoc.temporal_groups:
-        seq.extend(tokdoc.token_ids[cursor:group.token_start])
-        cursor = group.token_end
-        original = list(tokdoc.token_ids[group.token_start:group.token_end])
-        adjacent = group.token_start == last_group_end
-        last_group_end = group.token_end
+        start, end = group.token_start, group.token_end
+        seq.extend(token_ids[cursor:start])
+        cursor = end
+        adjacent = start == last_group_end
+        last_group_end = end
         if group.normalized is None or adjacent:
-            seq.extend(original)
+            seq.extend(token_ids[start:end])
             continue
         label = TIR_KEPT
-        tokens = original
+        tokens = token_ids[start:end]
         if rng.random() < replace_prob:
             pick = pool.draw_other(group.normalized, rng)
             if pick is not None:
-                tokens = vocab.encode(pick.surface, lowercase)
+                tokens = encoded[pick.surface]
                 label = TIR_REPLACED
             else:
                 forced.append(len(slots))
         boundary_left = len(seq) - 1
         seq.extend(tokens)
         slots.append(TirSlot(boundary_left, len(seq), label))
-    seq.extend(tokdoc.token_ids[cursor:])
+    seq.extend(token_ids[cursor:])
     seq.append(SEP)
 
     if max_len is not None and len(seq) > max_len:
@@ -554,38 +583,48 @@ def example_provider(
     """Per-epoch example builder over a tagged corpus.
 
     Masking and replacement draws are re-mixed with the epoch number, so
-    every epoch sees fresh plans while staying reproducible.  Every
-    document is tokenized, and with dtp its timestamp checked against the
-    label space, before the builder is returned.
+    every epoch sees fresh plans while staying reproducible; the builder
+    makes the same examples as build_pretrain_example and build_tir called
+    per document with the seed and epoch.  Every document is tokenized,
+    and with dtp its timestamp checked against the label space, before the
+    builder is returned.
     """
     objectives = frozenset(objectives)
-    docs = [(doc, list(exprs)) for doc, exprs in tagged]
+    docs = [doc for doc, _ in tagged]
+    labels: list[Optional[int]] = [None] * len(docs)
     if Objective.DTP in objectives and space is not None:
-        for doc, _ in docs:
+        for i, doc in enumerate(docs):
             try:
-                dtp_label(doc.timestamp, space)
+                labels[i] = dtp_label(doc.timestamp, space)
             except OutOfLabelSpace as exc:
                 raise OutOfLabelSpace(f"doc {doc.id}: {exc}") from None
     tokdocs = [
         tokenize(doc, vocab, exprs, lowercase=lowercase, max_len=max_len)
-        for doc, exprs in docs
+        for doc, exprs in tagged
     ]
-    pool = (collect_expression_pool(docs)
+    pool = (collect_expression_pool(tagged)
             if Objective.TIR in objectives else None)
     masked_objectives = objectives & {Objective.MLM, Objective.TAMLM, Objective.DTP}
+    kinds = (["mask"] if masked_objectives else []) + (
+        ["tir"] if Objective.TIR in objectives else [])
+    encoded = _encodings(vocab, lowercase)
 
     def build(epoch: int) -> list[PretrainExample | TirExample]:
         out: list[PretrainExample | TirExample] = []
-        for (doc, _), tokdoc in zip(docs, tokdocs):
+        rngs = util.rng_streams([(seed, doc.id, epoch, kind)
+                                 for doc in docs for kind in kinds])
+        for doc, tokdoc, label in zip(docs, tokdocs, labels):
             if masked_objectives:
                 out.append(build_pretrain_example(
                     doc, tokdoc, masked_objectives, space,
                     temporal_mask_ratio, mask_budget, vocab, seed, epoch,
+                    rng=next(rngs), label=label,
                 ))
             if Objective.TIR in objectives:
                 out.append(build_tir(
                     doc, tokdoc, pool, replace_prob, vocab, seed, epoch,
                     lowercase=lowercase, max_len=max_len,
+                    rng=next(rngs), encoded=encoded,
                 ))
         return out
 

@@ -9,6 +9,7 @@ of it imports the package under test.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 from datetime import date, timedelta
@@ -532,3 +533,157 @@ def tokenize(doc_id: str, text: str, ids: dict, unk: int, expressions,
             continue
         groups.append((index, start, end, resolvable, normalized))
     return token_ids, tuple((s, e) for _, s, e in spans), tuple(groups)
+
+
+# ---------------------------------------------------------------------------
+# The per-document example builders as ``chronolm.objectives`` wrote them
+# before an epoch's random streams were derived together: one PCG64 built
+# per document and kind, an action drawn per element, the ordinary tokens
+# found by testing every token, one scalar draw per random replacement, and
+# the replacement candidates found by scanning the pool.  A group is an
+# (expression_index, token_start, token_end, resolvable, normalized) tuple
+# as ``tokenize`` above returns them; examples come back as plain tuples.
+
+# The package's pinned special-token ids and label sentinels.
+CLS, SEP, MASK_ID, N_SPECIAL, IGNORE = 2, 3, 4, 5, -100
+MASK, RANDOM, KEEP = "mask", "random", "keep"
+
+
+def mix(*parts) -> int:
+    h = hashlib.blake2b(digest_size=8)
+    for part in parts:
+        h.update(str(part).encode("utf-8"))
+        h.update(b"\x1f")
+    return int.from_bytes(h.digest(), "little")
+
+
+def rng_from(*parts):
+    return np.random.Generator(np.random.PCG64(mix(*parts)))
+
+
+def draw_actions(rng, count):
+    u = rng.random(count)
+    return tuple(MASK if x < 0.8 else (RANDOM if x < 0.9 else KEEP) for x in u)
+
+
+def plan_tamlm(n, groups, temporal_mask_ratio, mask_budget, rng):
+    """(sampled group indexes, masked positions, actions) over n tokens."""
+    n_sampled = math.ceil(temporal_mask_ratio * len(groups))
+    if n_sampled:
+        sampled = tuple(sorted(
+            rng.choice(len(groups), size=n_sampled, replace=False).tolist()))
+    else:
+        sampled = ()
+    masked = set()
+    for g_index in sampled:
+        masked.update(range(groups[g_index][1], groups[g_index][2]))
+    budget = math.ceil(mask_budget * n)
+    if len(masked) < budget:
+        protected = {p for g in groups for p in range(g[1], g[2])}
+        eligible = [p for p in range(n) if p not in protected]
+        need = min(budget - len(masked), len(eligible))
+        if need:
+            picks = rng.choice(len(eligible), size=need, replace=False)
+            masked.update(eligible[i] for i in picks.tolist())
+    positions = tuple(sorted(masked))
+    return sampled, positions, draw_actions(rng, len(positions))
+
+
+def plan_mlm(n, mask_budget, rng):
+    budget = min(math.ceil(mask_budget * n), n)
+    if budget:
+        picks = rng.choice(n, size=budget, replace=False)
+        positions = tuple(sorted(picks.tolist()))
+    else:
+        positions = ()
+    return (), positions, draw_actions(rng, len(positions))
+
+
+def apply_plan(token_ids, plan, vocab_size, rng):
+    """(input_ids, mlm_labels) of the delimited, masked sequence."""
+    _, positions, actions = plan
+    ids = [CLS, *token_ids, SEP]
+    labels = [IGNORE] * len(ids)
+    for position, action in zip(positions, actions):
+        at = position + 1
+        labels[at] = token_ids[position]
+        if action == MASK:
+            ids[at] = MASK_ID
+        elif action == RANDOM:
+            ids[at] = int(rng.integers(N_SPECIAL, vocab_size))
+    return tuple(ids), tuple(labels)
+
+
+def build_pretrain_example(doc_id, token_ids, groups, masking, dtp_label,
+                           temporal_mask_ratio, mask_budget, vocab_size,
+                           seed, epoch):
+    """masking is "tamlm", "mlm" or None.
+
+    Returns (doc_id, input_ids, mlm_labels, dtp_label).
+    """
+    rng = rng_from(seed, doc_id, epoch, "mask")
+    if masking == "tamlm":
+        plan = plan_tamlm(len(token_ids), groups, temporal_mask_ratio,
+                          mask_budget, rng)
+    elif masking == "mlm":
+        plan = plan_mlm(len(token_ids), mask_budget, rng)
+    else:
+        plan = ((), (), ())
+    ids, labels = apply_plan(token_ids, plan, vocab_size, rng)
+    return doc_id, ids, labels, dtp_label
+
+
+def draw_other(entries, value, rng):
+    """A uniform pick among the (surface, value) entries whose value differs."""
+    candidates = [e for e in entries if e[1] != value]
+    if not candidates:
+        return None
+    return candidates[int(rng.integers(len(candidates)))]
+
+
+def build_tir(doc_id, prefix_ids, token_ids, groups, pool_entries, replace_prob,
+              encode, seed, epoch, max_len=None):
+    """pool_entries(value) lists the pool's (surface, value) entries of the
+    value's granularity, in pool order; encode(surface) gives its ids.
+
+    Returns (doc_id, input_ids, slots, forced_kept), each slot a
+    (boundary_left, boundary_right, label) tuple.
+    """
+    rng = rng_from(seed, doc_id, epoch, "tir")
+    seq = [CLS, *prefix_ids, SEP]
+    slots, forced = [], []
+    cursor = 0
+    last_group_end = -1
+    for _, start, end, _, normalized in groups:
+        seq.extend(token_ids[cursor:start])
+        cursor = end
+        original = list(token_ids[start:end])
+        adjacent = start == last_group_end
+        last_group_end = end
+        if normalized is None or adjacent:
+            seq.extend(original)
+            continue
+        label = 0
+        tokens = original
+        if rng.random() < replace_prob:
+            pick = draw_other(pool_entries(normalized), normalized, rng)
+            if pick is not None:
+                tokens = encode(pick[0])
+                label = 1
+            else:
+                forced.append(len(slots))
+        boundary_left = len(seq) - 1
+        seq.extend(tokens)
+        slots.append((boundary_left, len(seq), label))
+    seq.extend(token_ids[cursor:])
+    seq.append(SEP)
+    if max_len is not None and len(seq) > max_len:
+        seq = seq[: max_len - 1] + [SEP]
+        kept_slots, kept_forced = [], []
+        for i, slot in enumerate(slots):
+            if slot[1] <= max_len - 1:
+                if i in forced:
+                    kept_forced.append(len(kept_slots))
+                kept_slots.append(slot)
+        slots, forced = kept_slots, kept_forced
+    return doc_id, tuple(seq), tuple(slots), tuple(forced)

@@ -549,6 +549,22 @@ def test_non_utf8_input_is_reported(tmp_path, capsys):
     assert_one_error_line(rc, capsys, f"{bad}: not UTF-8")
 
 
+BAD_CONFIGS = {
+    "not-utf8": (b"\xff\xfe[run]\nseed = 1\n", "not UTF-8"),
+    "setting-before-section": (b"seed = 1\n[run]\n", "line 1"),
+    "option-set-twice": (b"[run]\nseed = 1\nseed = 2\n", "line 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_unreadable_config_is_reported(case, tmp_path, capsys):
+    data, needle = BAD_CONFIGS[case]
+    (tmp_path / "bad.cfg").write_bytes(data)
+    rc = run("synth", "--config", tmp_path / "bad.cfg", "--start", "1990-01",
+             "--end", "1990-12", "--n", 2, "--out", tmp_path / "corpus.jsonl")
+    assert_one_error_line(rc, capsys, f"{tmp_path / 'bad.cfg'}", needle)
+
+
 def test_vocabulary_without_special_tokens_is_reported(workdir, tmp_path, capsys):
     (tmp_path / "vocab.txt").write_text("the\nof\n")
     rc = run("build-dataset", "--config", workdir / "run.cfg",

@@ -749,6 +749,40 @@ def test_pretrain_training_reduces_loss():
     assert last < first * 0.7
 
 
+def test_pretrain_names_the_step_of_a_non_finite_gradient():
+    vocab, examples = tiny_vocab_and_examples()
+    cfg = ModelConfig(vocab_size=vocab.size, max_len=8, d_model=8,
+                      n_layers=1, n_heads=2, d_ff=16, dropout=0.0,
+                      k_dtp=3, seed=0)
+    initial = EncoderCheckpoint.fresh(cfg, vocab)
+    initial.params["emb.tok"][CLS, 0] = np.nan
+    train_cfg = TrainConfig(learning_rate=1e-3, batch_size=2, grad_accumulation=2,
+                            epochs=1, objectives=frozenset({Objective.TAMLM,
+                                                            Objective.DTP}))
+    with pytest.raises(NonFiniteGradient) as caught:
+        pretrain(examples, vocab, cfg, train_cfg, seed=0, initial=initial)
+    message = str(caught.value)
+    prefix, _, rest = message.partition("): ")
+    assert prefix.startswith("step 1 (epoch 0, docs ")
+    docs = prefix[len("step 1 (epoch 0, docs "):].split(", ")
+    order = rng_from(0, "order", 0).permutation(len(examples))
+    assert docs == [examples[i].doc_id for i in order[:4]]
+    assert rest.startswith("gradient for ") and rest.endswith(" is not finite")
+
+
+def test_finetune_names_the_step_of_a_non_finite_gradient():
+    vocab, _ = tiny_vocab_and_examples()
+    cfg = ModelConfig(vocab_size=vocab.size, max_len=8, d_model=8,
+                      n_layers=1, n_heads=2, d_ff=16, dropout=0.0, seed=0)
+    base = EncoderCheckpoint.fresh(cfg, vocab)
+    base.params["emb.tok"][CLS, 0] = np.nan
+    train_cfg = TrainConfig(learning_rate=1e-3, batch_size=2, epochs=1,
+                            objectives=frozenset())
+    with pytest.raises(NonFiniteGradient, match=r"^step 1 \(epoch 0\): gradient for "):
+        finetune(base, [((CLS, 5, SEP), 1), ((CLS, 6, SEP), 0)], n_classes=3,
+                 train_cfg=train_cfg)
+
+
 def test_finetune_adds_head_and_learns_constant():
     vocab, _ = tiny_vocab_and_examples()
     cfg = ModelConfig(vocab_size=vocab.size, max_len=8, d_model=16,
