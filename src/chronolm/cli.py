@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 from . import util
 from .config import RunConfig, parse_value
 from .corpus import (
+    SPECIAL_TOKENS,
     Document,
     Vocab,
     build_vocab,
@@ -121,6 +122,15 @@ def _labeled_to_json(example: LabeledExample, index: int) -> dict:
     return obj
 
 
+def _in_range(flag: str, value, low, high=None):
+    """A numeric flag's value when low <= value (<= high), which nan never
+    is; otherwise a MalformedRecord naming the flag."""
+    if low <= value and (high is None or value <= high):
+        return value
+    bound = f"at least {low}" if high is None else f"in [{low}, {high}]"
+    raise MalformedRecord(f"{flag} {value!r}: must be {bound}")
+
+
 def _need(args: argparse.Namespace, cfg: RunConfig, flag: str) -> str:
     """Resolve a path from the flag or the [paths] config section."""
     value = getattr(args, flag.replace("-", "_"), None) or cfg.paths.get(flag)
@@ -151,8 +161,8 @@ def cmd_build_vocab(args, cfg: RunConfig) -> None:
     out = _need(args, cfg, "out")
     vocab = build_vocab(
         load_corpus(_need(args, cfg, "corpus")),
-        max_size=args.max_size,
-        min_freq=args.min_freq,
+        max_size=_in_range("--max-size", args.max_size, len(SPECIAL_TOKENS) + 1),
+        min_freq=_in_range("--min-freq", args.min_freq, 1),
         lowercase=cfg.lowercase,
         include_timestamps=True,
     )
@@ -330,7 +340,8 @@ def cmd_baseline(args, cfg: RunConfig) -> None:
     out = _need(args, cfg, "out")
     space = _space_or_fail(cfg)
     golds = [e.time for e in _load_labeled(_need(args, cfg, "data"), space)]
-    acc, err = random_guess(space, golds, trials=args.trials, seed=cfg.seed)
+    trials = _in_range("--trials", args.trials, 1)
+    acc, err = random_guess(space, golds, trials=trials, seed=cfg.seed)
     rows = [
         ("random-guess", "acc", str(space.granularity), f"{acc:.4f}"),
         ("random-guess", "mae", str(space.granularity), f"{err:.4f}"),
@@ -343,14 +354,16 @@ def cmd_synth(args, cfg: RunConfig) -> None:
     out = _need(args, cfg, "out")
     start = parse_value("--start", TimePoint.parse, args.start)
     end = parse_value("--end", TimePoint.parse, args.end)
+    n = _in_range("--n", args.n, 1)
+    noise = _in_range("--noise", args.noise, 0.0, 1.0)
     if args.events:
         space = LabelSpace(Granularity.YEAR, start, end)
-        events = synth_events(args.n, space, noise=args.noise, seed=cfg.seed)
+        events = synth_events(n, space, noise=noise, seed=cfg.seed)
         util.write_jsonl(out, [_labeled_to_json(e, i) for i, e in enumerate(events)])
         print(f"{len(events)} synthetic events over {space.size} years -> {out}")
     else:
         space = LabelSpace(Granularity.MONTH, start, end)
-        docs = synth_corpus(args.n, space, noise=args.noise, seed=cfg.seed)
+        docs = synth_corpus(n, space, noise=noise, seed=cfg.seed)
         util.write_jsonl(out, [
             {"id": d.id, "timestamp": d.timestamp.isoformat(), "text": d.text}
             for d in docs

@@ -17,6 +17,11 @@ the full stream just before the last layer's attention backward.
 Cross-entropy sums are returned unreduced together with their counts, so a
 caller can normalize over a whole gradient-accumulation group and make
 accumulated steps match concatenated-batch steps.
+
+Gradients are written in place into arrays the caller passes, named per
+parameter: in training, the views of one flat buffer (see optim.Arena), so
+no gradient is allocated per micro-batch and the optimizer reads them
+where they were written.  Without such arrays, fresh ones are made.
 """
 
 from __future__ import annotations
@@ -91,10 +96,15 @@ _LN_EPS = 1e-5
 
 
 def layer_norm_fwd(x: np.ndarray, g: np.ndarray, b: np.ndarray):
-    # xhat = (x - mean) / sqrt(var + eps); y = g * xhat + b
-    xhat = x - x.mean(axis=-1, keepdims=True)
+    # xhat = (x - mean) / sqrt(var + eps); y = g * xhat + b.  Each mean is
+    # a sum divided by the width, as ndarray.mean computes it.
+    d = x.shape[-1]
+    mean = np.add.reduce(x, axis=-1, keepdims=True)
+    mean /= d
+    xhat = x - mean
     y = xhat * xhat
-    inv = y.mean(axis=-1, keepdims=True)
+    inv = np.add.reduce(y, axis=-1, keepdims=True)
+    inv /= d
     inv += _LN_EPS
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
@@ -114,9 +124,12 @@ def layer_norm_bwd(dy: np.ndarray, cache):
     db = dy.reshape(-1, d).sum(axis=0)
     dx = dy * g
     np.multiply(dx, xhat, out=tmp)
-    proj = tmp.mean(axis=-1, keepdims=True)
+    proj = np.add.reduce(tmp, axis=-1, keepdims=True)
+    proj /= d
     np.multiply(xhat, proj, out=tmp)
-    dx -= dx.mean(axis=-1, keepdims=True)
+    mean = np.add.reduce(dx, axis=-1, keepdims=True)
+    mean /= d
+    dx -= mean
     dx -= tmp
     dx *= inv
     return dx, dg, db
@@ -195,16 +208,18 @@ def encoder_forward(
     h = h.reshape(N, D)
     emb_drop = None
     if dropout:
-        emb_drop = _dropout_mask(rng, h.shape, cfg.dropout, h.dtype)
+        # Every mask of the forward in one draw, in the order they apply:
+        # embeddings, then each layer's attention and feed-forward output.
+        masks = _dropout_mask(rng, (1 + 2 * cfg.n_layers, N, D), cfg.dropout, h.dtype)
+        emb_drop = masks[0]
         h *= emb_drop
 
     def heads(x: np.ndarray) -> np.ndarray:
         # (N, D) -> (B, nh, L, dh)
         return x.reshape(B, L, nh, dh).transpose(0, 2, 1, 3)
 
-    def drop_mask(keep: Optional[np.ndarray]) -> np.ndarray:
-        mask = _dropout_mask(rng, (N, D), cfg.dropout, h.dtype)
-        return mask if keep is None else mask[keep]
+    def drop_mask(index: int, keep: Optional[np.ndarray]) -> np.ndarray:
+        return masks[index] if keep is None else masks[index][keep]
 
     layers = []
     for i in range(cfg.n_layers):
@@ -232,7 +247,7 @@ def encoder_forward(
         o += params[p + "attn.bo"]
         cache.update(q=q, k=k, v=v, probs=probs, ctx2=ctx2)
         if dropout:
-            cache["attn_drop"] = drop_mask(keep)
+            cache["attn_drop"] = drop_mask(1 + 2 * i, keep)
             o *= cache["attn_drop"]
         h += o
 
@@ -245,7 +260,7 @@ def encoder_forward(
         f += params[p + "ffn.b2"]
         cache.update(z=z, u=u, t=t)
         if dropout:
-            cache["ffn_drop"] = drop_mask(keep)
+            cache["ffn_drop"] = drop_mask(2 + 2 * i, keep)
             f *= cache["ffn_drop"]
         h += f
         layers.append(cache)
@@ -262,14 +277,20 @@ def encoder_backward(
     cfg: ModelConfig,
     cache: EncoderCache,
     dh: np.ndarray,
+    out: Optional[dict[str, np.ndarray]] = None,
 ) -> dict[str, np.ndarray]:
     """Parameter gradients given the gradient at the final hidden states.
 
     dh has the shape of the forward's hidden states: (batch, length,
     d_model), or (len(rows), d_model) for a forward over rows.  Neither it
-    nor the cache is modified.
+    nor the cache is modified.  Each encoder gradient is written into
+    out's array of that name (fresh arrays without out), and the returned
+    dict names those arrays.
     """
     dtype = params["emb.tok"].dtype
+    if out is None:
+        out = {name: np.empty_like(p) for name, p in params.items()
+               if not name.startswith("head.")}
     grads: dict[str, np.ndarray] = {}
     B, L = cache.ids.shape
     N, D = B * L, cfg.d_model
@@ -281,9 +302,20 @@ def encoder_backward(
         # (B, nh, L, dh) -> (N, D)
         return x.transpose(0, 2, 1, 3).reshape(N, D)
 
+    def linear(w: str, b: str, x: np.ndarray, dy: np.ndarray) -> None:
+        # A dense layer's weight and bias gradients: x.T @ dy, dy.sum(axis=0)
+        grads[w] = np.matmul(x.T, dy, out=out[w])
+        grads[b] = np.add.reduce(dy, axis=0, out=out[b])
+
+    def norm(prefix: str, dx: np.ndarray, dg: np.ndarray, db: np.ndarray) -> np.ndarray:
+        # A layer norm's gain and offset gradients, copied into out; dx back
+        for name, g in ((prefix + ".g", dg), (prefix + ".b", db)):
+            grads[name] = out[name]
+            grads[name][...] = g
+        return dx
+
     # dstream is a fresh buffer from here on, so it is updated in place.
-    dstream, grads["ln_f.g"], grads["ln_f.b"] = layer_norm_bwd(
-        dh.reshape(-1, D), cache.ln_f)
+    dstream = norm("ln_f", *layer_norm_bwd(dh.reshape(-1, D), cache.ln_f))
     rows = cache.rows
 
     for i in reversed(range(cfg.n_layers)):
@@ -292,20 +324,16 @@ def encoder_backward(
 
         df = dstream * c["ffn_drop"] if "ffn_drop" in c else dstream
         du = df @ params[p + "ffn.w2"].T
-        grads[p + "ffn.w2"] = c["u"].T @ df
-        grads[p + "ffn.b2"] = df.sum(axis=0)
+        linear(p + "ffn.w2", p + "ffn.b2", c["u"], df)
         dz = gelu_grad(c["z"], c["t"])
         dz *= du
         da2 = dz @ params[p + "ffn.w1"].T
-        grads[p + "ffn.w1"] = c["a2"].T @ dz
-        grads[p + "ffn.b1"] = dz.sum(axis=0)
-        dres, grads[p + "ln2.g"], grads[p + "ln2.b"] = layer_norm_bwd(da2, c["ln2"])
-        dstream += dres
+        linear(p + "ffn.w1", p + "ffn.b1", c["a2"], dz)
+        dstream += norm(p + "ln2", *layer_norm_bwd(da2, c["ln2"]))
 
         do = dstream * c["attn_drop"] if "attn_drop" in c else dstream
         dctx2 = do @ params[p + "attn.wo"].T
-        grads[p + "attn.wo"] = c["ctx2"].T @ do
-        grads[p + "attn.bo"] = do.sum(axis=0)
+        linear(p + "attn.wo", p + "attn.bo", c["ctx2"], do)
         if rows is not None and i == cfg.n_layers - 1:
             # Attention read every position: back to the full stream.
             dctx2 = _scatter_rows(dctx2, rows, N)
@@ -323,23 +351,27 @@ def encoder_backward(
         dk *= scale
         dq, dk, dv = tokens(dq), tokens(dk), tokens(dv)
         for name, dout in (("q", dq), ("k", dk), ("v", dv)):
-            grads[p + f"attn.w{name}"] = c["a"].T @ dout
-            grads[p + f"attn.b{name}"] = dout.sum(axis=0)
+            linear(p + f"attn.w{name}", p + f"attn.b{name}", c["a"], dout)
         da = dq @ params[p + "attn.wq"].T
         da += dk @ params[p + "attn.wk"].T
         da += dv @ params[p + "attn.wv"].T
-        dres, grads[p + "ln1.g"], grads[p + "ln1.b"] = layer_norm_bwd(da, c["ln1"])
-        dstream += dres
+        dstream += norm(p + "ln1", *layer_norm_bwd(da, c["ln1"]))
 
     if rows is not None and not cfg.n_layers:
         dstream = _scatter_rows(dstream, rows, N)
     if cache.emb_drop is not None:
         dstream *= cache.emb_drop
 
-    grads["emb.pos"] = np.zeros_like(params["emb.pos"])
-    grads["emb.pos"][:L] = dstream.reshape(B, L, D).sum(axis=0)
-    grads["emb.tok"] = np.zeros_like(params["emb.tok"])
-    np.add.at(grads["emb.tok"], cache.ids.reshape(N), dstream)
+    pos = grads["emb.pos"] = out["emb.pos"]
+    pos[L:] = 0
+    np.add.reduce(dstream.reshape(B, L, D), axis=0, out=pos[:L])
+    # emb.tok rows gather repeated ids, so the scatter adds with np.add.at,
+    # which takes each row in order; on flat element indices it runs a
+    # one-dimensional loop.
+    tok = grads["emb.tok"] = out["emb.tok"]
+    tok[...] = 0
+    flat = cache.ids.reshape(N, 1) * D + np.arange(D)
+    np.add.at(tok.reshape(-1), flat.reshape(-1), dstream.reshape(-1))
     return grads
 
 
@@ -379,10 +411,13 @@ class Batch:
 
     def counts(self) -> dict[str, int]:
         """Item count per head that has items in this batch."""
-        return {name: len(labels) for name, _, labels in _head_items(self)}
+        return {name: len(labels) for name, _, labels in head_items(self)}
 
 
-def _head_items(batch: Batch) -> list[tuple[str, list, np.ndarray]]:
+HeadItems = list[tuple[str, list, np.ndarray]]
+
+
+def head_items(batch: Batch) -> HeadItems:
     """What each head reads from the hidden states, in head order.
 
     For every head with items in the batch: its name, the position arrays
@@ -415,18 +450,24 @@ def batch_losses(
     train: bool = False,
     rng: Optional[np.random.Generator] = None,
     want_grads: bool = True,
+    out: Optional[dict[str, np.ndarray]] = None,
+    items: Optional[HeadItems] = None,
 ):
     """Forward (and optionally backward) over one batch.
 
     Returns (parts, grads) where parts maps component name to a
     (cross-entropy sum, item count) pair.  Gradients are of the quantity
     sum(component sums / denoms[component]); denoms defaults to this
-    batch's own counts, which yields plain mean losses.
+    batch's own counts, which yields plain mean losses.  grads names every
+    parameter: each gradient is written into out's array of that name
+    (fresh arrays without out), and heads absent from the batch get zeros.
+    items is the batch's head_items, for a caller that has them already.
 
     The encoder computes only the hidden rows some head reads: the union
     of the heads' (example, position) pairs.
     """
-    items = _head_items(batch)
+    if items is None:
+        items = head_items(batch)
     if denoms is None:
         denoms = {name: float(len(labels)) for name, _, labels in items}
     # rows is empty when no head has items; at maps each position to its row.
@@ -436,7 +477,10 @@ def batch_losses(
     hidden, cache = encoder_forward(params, cfg, batch.ids, train, rng, rows=rows)
 
     parts: dict[str, tuple[float, int]] = {}
-    dh = np.zeros_like(hidden) if want_grads else None
+    if want_grads:
+        dh = np.zeros_like(hidden)
+        if out is None:
+            out = {name: np.empty_like(p) for name, p in params.items()}
     grads: dict[str, np.ndarray] = {}
     d = cfg.d_model
     start = 0
@@ -451,16 +495,22 @@ def batch_losses(
         parts[name] = (ce_sum, len(labels))
         if want_grads:
             dlogits = dlogits.astype(hidden.dtype) / hidden.dtype.type(denoms[name])
-            grads[f"head.{name}.w"] = feats.T @ dlogits
-            grads[f"head.{name}.b"] = dlogits.sum(axis=0)
+            gw, gb = f"head.{name}.w", f"head.{name}.b"
+            grads[gw] = np.matmul(feats.T, dlogits, out=out[gw])
+            grads[gb] = np.add.reduce(dlogits, axis=0, out=out[gb])
             dfeats = dlogits @ w.T
             for j, r in enumerate(head_rows):
-                np.add.at(dh, r, dfeats[:, j * d:(j + 1) * d])
+                if name == "tir":
+                    # Slots can share a boundary, so rows can repeat.
+                    np.add.at(dh, r, dfeats[:, j * d:(j + 1) * d])
+                else:
+                    dh[r] += dfeats[:, j * d:(j + 1) * d]
 
     if want_grads:
-        grads.update(encoder_backward(params, cfg, cache, dh))
+        grads.update(encoder_backward(params, cfg, cache, dh, out))
         # Heads absent from this batch contribute zero gradient.
-        for name, p in params.items():
+        for name in params:
             if name not in grads:
-                grads[name] = np.zeros_like(p)
+                grads[name] = out[name]
+                grads[name][...] = 0
     return parts, grads

@@ -4,6 +4,11 @@ Loss normalization happens over whole gradient-accumulation groups: each
 micro-batch backpropagates component sums divided by the group's total item
 counts, so an accumulated step equals the step a single concatenated batch
 would have taken.
+
+The loops train in the optimizer's arena (optim.Arena): the first
+micro-batch of a group writes its gradients straight into the arena's flat
+gradient buffer, and each later one into a scratch buffer that is then
+added in with one flat sum.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from ..objectives import (
 from ..temporal import TimePoint, render
 from .checkpoint import EncoderCheckpoint
 from .config import ModelConfig, TrainConfig, init_params
-from .network import Batch, batch_losses, encoder_forward
+from .network import Batch, batch_losses, encoder_forward, head_items
 from .optim import AdamState, adamw_step
 
 LogRow = tuple[int, str, float]
@@ -86,25 +91,27 @@ def _run_step(
     rng: np.random.Generator,
 ) -> dict[str, float]:
     """One optimizer step over an accumulation group of micro-batches."""
+    items = [head_items(b) for b in micro_batches]
     denoms: dict[str, float] = {}
-    for b in micro_batches:
-        for k, v in b.counts().items():
-            denoms[k] = denoms.get(k, 0.0) + v
+    for batch_items in items:
+        for name, _, labels in batch_items:
+            denoms[name] = denoms.get(name, 0.0) + len(labels)
 
     totals: dict[str, float] = {}
+    arena = state.arena
     accum: Optional[dict[str, np.ndarray]] = None
-    for b in micro_batches:
+    for b, batch_items in zip(micro_batches, items):
+        out = arena.grad_views if accum is None else arena.scratch_views
         parts, grads = batch_losses(
             params, cfg, b, denoms=dict(denoms),
-            train=True, rng=rng, want_grads=True,
+            train=True, rng=rng, want_grads=True, out=out, items=batch_items,
         )
         for k, (ce_sum, _) in parts.items():
             totals[k] = totals.get(k, 0.0) + ce_sum
         if accum is None:
             accum = grads
         else:
-            for name in accum:
-                accum[name] += grads[name]
+            arena.grads += arena.scratch
     adamw_step(params, accum, state, train_cfg)
     return {k: totals[k] / denoms[k] for k in totals}
 
@@ -126,11 +133,11 @@ def pretrain(
     if not train_cfg.objectives:
         raise ValueError("pretraining needs a non-empty objective set")
     if initial is not None:
-        params = {k: p.copy() for k, p in initial.params.items()}
+        params = dict(initial.params)
         model_cfg = initial.config
     else:
         params = init_params(model_cfg)
-    state = AdamState.for_params(params)
+    state = AdamState.for_params(params)  # params now name views of its arena
     provider = dataset if callable(dataset) else (lambda _epoch: dataset)
 
     log: list[LogRow] = []
@@ -252,15 +259,14 @@ def finetune(
         if not 0 <= label < n_classes:
             raise LabelOutOfRange(f"label {label} outside 0..{n_classes - 1}")
     cfg = dc_replace(checkpoint.config, k_cls=n_classes)
-    params = {k: p.copy() for k, p in checkpoint.params.items()}
+    params = dict(checkpoint.params)
     dtype = params["emb.tok"].dtype
     head_rng = util.rng_from(seed, "cls-head")
     params["head.cls.w"] = head_rng.normal(
         0.0, 0.02, size=(cfg.d_model, n_classes)
     ).astype(dtype)
     params["head.cls.b"] = np.zeros(n_classes, dtype=dtype)
-
-    state = AdamState.for_params(params)
+    state = AdamState.for_params(params)  # params now name views of its arena
     log: list[LogRow] = []
     step = 0
     for epoch in range(train_cfg.epochs):

@@ -258,6 +258,80 @@ def batch_losses(params, cfg, batch, encoder_forward, encoder_backward,
 
 
 # ---------------------------------------------------------------------------
+# The optimizer step and accumulation loop as ``chronolm.model.training`` ran
+# them before parameters, gradients and moments moved into one flat arena:
+# the loops copied their parameters, each micro-batch's gradients came back
+# as fresh per-tensor arrays (absent heads zero-filled) and were summed
+# tensor by tensor, and AdamW updated one tensor at a time.  ``batch_losses``
+# and the error type are handed in, so this module still imports nothing
+# from the package.
+
+
+class AdamState:
+    def __init__(self, m, v):
+        self.step = 0
+        self.m = m
+        self.v = v
+
+    @classmethod
+    def for_params(cls, params):
+        # The loops trained on copies: {k: p.copy() for k, p in ...}.
+        for name in params:
+            params[name] = params[name].copy()
+        return cls({k: np.zeros_like(p) for k, p in params.items()},
+                   {k: np.zeros_like(p) for k, p in params.items()})
+
+
+def adamw_step(params, grads, state, cfg, error):
+    for name, g in grads.items():
+        if not np.isfinite(g).all():
+            raise error(f"gradient for {name} is not finite")
+    state.step += 1
+    t = state.step
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    correction1 = 1.0 - b1 ** t
+    correction2 = 1.0 - b2 ** t
+    for name, p in params.items():
+        g = grads[name]
+        m = state.m[name]
+        v = state.v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        m_hat = m / correction1
+        v_hat = v / correction2
+        update = m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        if cfg.weight_decay:
+            update = update + cfg.weight_decay * p
+        p -= cfg.learning_rate * update
+    return params, state
+
+
+def run_step(params, cfg, micro_batches, train_cfg, state, rng, batch_losses,
+             error):
+    denoms = {}
+    for b in micro_batches:
+        for k, v in batch_counts(b).items():
+            if v:
+                denoms[k] = denoms.get(k, 0.0) + v
+    totals = {}
+    accum = None
+    for b in micro_batches:
+        parts, grads = batch_losses(params, cfg, b, denoms=dict(denoms),
+                                    train=True, rng=rng, want_grads=True)
+        for k, (ce_sum, _) in parts.items():
+            totals[k] = totals.get(k, 0.0) + ce_sum
+        if accum is None:
+            accum = grads
+        else:
+            for name in accum:
+                accum[name] += grads[name]
+    adamw_step(params, accum, state, train_cfg, error)
+    return {k: totals[k] / denoms[k] for k in totals}
+
+
+# ---------------------------------------------------------------------------
 # The temporal tagger as it stood before rule gating: every rule scans every
 # text, and relative shifts may leave the calendar (years 1 to 9999).  A
 # point is a (year, month, day) tuple with None for absent fields; an

@@ -583,3 +583,36 @@ def test_flag_overrides_config_seed(workdir, tmp_path):
     run("synth", "--events", "--n", 10, "--start", 1990, "--end", 1994,
         "--config", workdir / "year.cfg", "--seed", 99, "--out", out2)
     assert out1.read_text() != out2.read_text()
+
+
+# Each case ends in one "error:" line naming the flag; an exception that
+# escaped main would fail the test with its traceback instead.
+BAD_NUMERIC_FLAGS = {
+    "synth-n-zero": ("synth", ["--n", 0], "--n 0"),
+    "synth-noise-above-one": ("synth", ["--noise", 2], "--noise 2.0"),
+    "synth-noise-negative": ("synth", ["--noise", -1], "--noise -1.0"),
+    "synth-noise-nan": ("synth", ["--noise", "nan"], "--noise nan"),
+    "events-noise-nan": ("synth", ["--events", "--noise", "nan"], "--noise nan"),
+    "build-vocab-max-size": ("build-vocab", ["--max-size", 3], "--max-size 3"),
+    "build-vocab-min-freq": ("build-vocab", ["--min-freq", -1], "--min-freq -1"),
+    "baseline-trials-zero": ("baseline", ["--trials", 0], "--trials 0"),
+    "baseline-trials-negative": ("baseline", ["--trials", -2], "--trials -2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NUMERIC_FLAGS))
+def test_bad_numeric_flag_is_reported(case, workdir, tmp_path, capsys):
+    command, flags, needle = BAD_NUMERIC_FLAGS[case]
+    events = tmp_path / "events.jsonl"
+    write_jsonl(str(events), [{"id": "e0", "text": "x", "time": "1991"}])
+    inputs = {
+        "synth": ["--start", "1990", "--end", "1994"],
+        "build-vocab": ["--corpus", workdir / "corpus.jsonl"],
+        "baseline": ["--config", workdir / "year.cfg", "--data", events],
+    }[command]
+    if command == "synth" and "--events" not in flags:
+        inputs = ["--start", "1990-01", "--end", "1990-12"]
+    out = tmp_path / "out"
+    rc = run(command, *inputs, *flags, "--out", out)
+    assert_one_error_line(rc, capsys, needle)
+    assert not out.exists()
