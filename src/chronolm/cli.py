@@ -140,7 +140,7 @@ def _need(args: argparse.Namespace, cfg: RunConfig, flag: str) -> str:
 
 
 def _space_or_fail(cfg: RunConfig) -> LabelSpace:
-    space = cfg.label_space()
+    space = cfg.label_space
     if space is None:
         raise MalformedRecord(
             "label space required: set [labelspace] start/end in the config"
@@ -177,22 +177,27 @@ def _provider(args, cfg: RunConfig, vocab: Vocab, objectives, space):
     try:
         return example_provider(
             tagged, vocab, objectives, space,
-            temporal_mask_ratio=cfg.temporal_mask_ratio,
-            mask_budget=cfg.mask_budget,
-            replace_prob=cfg.replace_prob,
+            masking=cfg.masking,
             seed=cfg.seed,
             lowercase=cfg.lowercase,
-            max_len=cfg.model["max_len"],
+            max_len=cfg.model_config(vocab.size).max_len,
         )
     except (AlignmentError, OutOfLabelSpace) as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
 
+def _objectives(args, cfg: RunConfig) -> frozenset[Objective]:
+    """--objectives, or [train] objectives without it."""
+    if args.objectives:
+        return parse_value("--objectives", Objective.parse_set, args.objectives)
+    return cfg.train.objectives
+
+
 def cmd_build_dataset(args, cfg: RunConfig) -> None:
     out = _need(args, cfg, "out")
     vocab = Vocab.load(_need(args, cfg, "vocab"))
-    objectives = parse_value("--objectives", Objective.parse_set, args.objectives)
-    space = _space_or_fail(cfg) if Objective.DTP in objectives else cfg.label_space()
+    objectives = _objectives(args, cfg)
+    space = _space_or_fail(cfg) if Objective.DTP in objectives else cfg.label_space
     provider = _provider(args, cfg, vocab, objectives, space)
     examples = provider(args.epoch)
     util.write_jsonl(out, (pretrain_example_to_json(e) if isinstance(e, PretrainExample)
@@ -241,18 +246,14 @@ def _load_dataset(path: str, vocab: Vocab, objectives: frozenset[Objective],
 def cmd_pretrain(args, cfg: RunConfig) -> None:
     out = _need(args, cfg, "out")
     vocab = Vocab.load(_need(args, cfg, "vocab"))
-    train_cfg = cfg.train_config()
-    if args.objectives:
-        train_cfg = dataclasses.replace(train_cfg, objectives=parse_value(
-            "--objectives", Objective.parse_set, args.objectives))
+    train_cfg = dataclasses.replace(cfg.train, objectives=_objectives(args, cfg))
     k_dtp = None
     if Objective.DTP in train_cfg.objectives:
         k_dtp = _space_or_fail(cfg).size
     if args.dataset:
         dataset = _load_dataset(args.dataset, vocab, train_cfg.objectives, k_dtp)
     else:
-        dataset = _provider(args, cfg, vocab, train_cfg.objectives,
-                            cfg.label_space())
+        dataset = _provider(args, cfg, vocab, train_cfg.objectives, cfg.label_space)
     model_cfg = cfg.model_config(vocab.size, k_dtp=k_dtp)
     ckpt, log = pretrain(dataset, vocab, model_cfg, train_cfg, seed=cfg.seed)
     save_checkpoint(ckpt, out)
@@ -269,8 +270,7 @@ def cmd_finetune(args, cfg: RunConfig) -> None:
     examples = _load_labeled(_need(args, cfg, "train-data"), space)
     records = prepare_labeled(examples, space, vocab, cfg.lowercase,
                               ckpt.config.max_len)
-    tuned, log = finetune(ckpt, records, space.size, cfg.finetune_config(),
-                          seed=cfg.seed)
+    tuned, log = finetune(ckpt, records, space.size, cfg.finetune, seed=cfg.seed)
     save_checkpoint(tuned, out)
     if args.loss_log:
         _write_loss_log(args.loss_log, log)
@@ -398,15 +398,13 @@ def cmd_ablate(args, cfg: RunConfig) -> None:
     rows = run_ablation(
         tagged, vocab, space,
         model_cfg=cfg.model_config(vocab.size),
-        pretrain_cfg=cfg.train_config(),
-        finetune_cfg=cfg.finetune_config(),
+        pretrain_cfg=cfg.train,
+        finetune_cfg=cfg.finetune,
         eval_sets=[EvalSet("events", tuple(train_examples),
                            tuple(test_examples), eval_space)],
         combinations=combos,
         seed=cfg.seed,
-        temporal_mask_ratio=cfg.temporal_mask_ratio,
-        mask_budget=cfg.mask_budget,
-        replace_prob=cfg.replace_prob,
+        masking=cfg.masking,
         lowercase=cfg.lowercase,
     )
     _write_csv(
@@ -445,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--tagged", help="tagged corpus JSONL")
     p.add_argument("--vocab", help="vocabulary file")
-    p.add_argument("--objectives", default="tamlm,dtp",
-                   help="comma list drawn from mlm,tamlm,dtp,tir")
+    p.add_argument("--objectives", help="comma list drawn from mlm,tamlm,dtp,tir "
+                   "(default: [train] objectives)")
     p.add_argument("--epoch", type=int, default=0,
                    help="epoch number mixed into the sampling seed")
 

@@ -1,10 +1,9 @@
-"""Run configuration: flat key=value sections, merged under command flags.
+"""Run configuration: INI sections parsed into the dataclasses that own them.
 
 The format is INI (configparser): [section] headers over key = value lines.
-Every field has a default; a config file overrides defaults and command
-flags override the file.  Training defaults mirror the published setup
-(pretraining at 3e-5 with gradient accumulation 8, fine-tuning at 2e-5
-with batch 16, dropout 0.1); model dimensions default to desk scale.
+_KEYS lists every key a file may set and how its text parses; a key sets
+the field of the same name, and a key the file leaves out keeps that
+field's default.  [paths] is free-form.  Command flags override the file.
 """
 
 from __future__ import annotations
@@ -14,45 +13,10 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, TypeVar
 
 from .corpus import SPECIAL_TOKENS
-from .errors import MalformedRecord
+from .errors import EmptyRange, FieldError, GranularityRefinementError, MalformedRecord
 from .model.config import ModelConfig, TrainConfig
-from .objectives import LabelSpace, Objective
+from .objectives import LabelSpace, Masking, Objective
 from .temporal import Granularity, TimePoint
-
-_DEFAULTS: dict[str, dict[str, str]] = {
-    "paths": {},
-    "tokenizer": {"lowercase": "false"},
-    "objectives": {
-        "temporal_mask_ratio": "0.3",
-        "mask_budget": "0.15",
-        "replace_prob": "0.5",
-    },
-    "labelspace": {},
-    "model": {
-        "d_model": "128",
-        "n_layers": "2",
-        "n_heads": "4",
-        "d_ff": "512",
-        "dropout": "0.1",
-        "max_len": "128",
-    },
-    "train": {
-        "objectives": "tamlm,dtp",
-        "learning_rate": "3e-5",
-        "batch_size": "8",
-        "grad_accumulation": "8",
-        "epochs": "10",
-        "weight_decay": "0.01",
-    },
-    "finetune": {
-        "learning_rate": "2e-5",
-        "batch_size": "16",
-        "grad_accumulation": "1",
-        "epochs": "3",
-        "weight_decay": "0.0",
-    },
-}
-
 
 T = TypeVar("T")
 
@@ -75,12 +39,32 @@ def _to_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _read(parser: configparser.ConfigParser, path: str) -> None:
-    """Read a config file into parser; what it cannot read is one error
-    naming the file, and the line where there is one."""
+_TRAIN_KEYS = {"learning_rate": float, "batch_size": int,
+               "grad_accumulation": int, "epochs": int, "weight_decay": float}
+_KEYS: dict[str, dict[str, Callable[[str], object]]] = {
+    "run": {"seed": int},
+    "tokenizer": {"lowercase": _to_bool},
+    "objectives": dict.fromkeys(
+        ("temporal_mask_ratio", "mask_budget", "replace_prob"), float),
+    "labelspace": {"start": TimePoint.parse, "end": TimePoint.parse,
+                   "granularity": Granularity.parse},
+    "model": {"d_model": int, "n_layers": int, "n_heads": int, "d_ff": int,
+              "dropout": float, "max_len": int},
+    "train": {"objectives": Objective.parse_set, **_TRAIN_KEYS},
+    "finetune": _TRAIN_KEYS,
+}
+
+
+def _read(path: str) -> dict[str, dict[str, str]]:
+    """A config file's sections as {section: {key: text}}; what cannot be
+    read is one error naming the file, and the line where there is one."""
+    parser = configparser.ConfigParser(interpolation=None)  # "%" is plain text
     try:
         if not parser.read(path, encoding="utf-8"):
             raise MalformedRecord(f"config file not found: {path}")
+        if parser.defaults():
+            raise MalformedRecord(f"{path}: unknown section [{parser.default_section}]")
+        return {name: dict(parser[name]) for name in parser.sections()}
     except UnicodeDecodeError as exc:
         raise MalformedRecord(f"{path}: not UTF-8 text ({exc.reason})") from None
     except configparser.MissingSectionHeaderError as exc:
@@ -102,101 +86,87 @@ def _read(parser: configparser.ConfigParser, path: str) -> None:
         ) from None
 
 
+def _bad_value(path: str, section: str, key: str, text: str,
+               exc: Exception) -> MalformedRecord:
+    return MalformedRecord(f"{path}: [{section}] {key} {text!r}: "
+                           f"bad config value: {exc}")
+
+
+def _parse(path: str, section: str, texts: dict[str, str]) -> dict:
+    """The values a section sets, each parsed by its key's parser."""
+    if section == "paths":
+        return texts
+    if section not in _KEYS:
+        raise MalformedRecord(f"{path}: unknown section [{section}]; the sections "
+                              f"are [paths], [{'], ['.join(_KEYS)}]")
+    keys = _KEYS[section]
+    values = {}
+    for key, text in texts.items():
+        if key not in keys:
+            raise MalformedRecord(f"{path}: [{section}] {key}: unknown key; "
+                                  f"[{section}] takes {', '.join(keys)}")
+        try:
+            values[key] = keys[key](text)
+        except ValueError as exc:
+            raise _bad_value(path, section, key, text, exc) from None
+    return values
+
+
 @dataclass
 class RunConfig:
-    """All tunable settings for the command-line pipeline."""
+    """All tunable settings for the command-line pipeline.
+
+    model holds only the [model] keys a file sets, since the vocabulary
+    size is not known until a command loads it.  train and finetune are
+    TimeBERT's published setup where it differs from TrainConfig's defaults.
+    """
 
     seed: int = 0
-    paths: dict[str, str] = field(default_factory=dict)
     lowercase: bool = False
-    temporal_mask_ratio: float = 0.3
-    mask_budget: float = 0.15
-    replace_prob: float = 0.5
-    labelspace_start: Optional[str] = None
-    labelspace_end: Optional[str] = None
-    labelspace_granularity: str = "month"
+    paths: dict[str, str] = field(default_factory=dict)
+    label_space: Optional[LabelSpace] = None
+    masking: Masking = Masking()
     model: dict = field(default_factory=dict)
-    train: dict = field(default_factory=dict)
-    finetune: dict = field(default_factory=dict)
+    train: TrainConfig = TrainConfig(
+        learning_rate=3e-5, grad_accumulation=8, epochs=10, weight_decay=0.01,
+        objectives=frozenset({Objective.TAMLM, Objective.DTP}))
+    finetune: TrainConfig = TrainConfig(learning_rate=2e-5, batch_size=16, epochs=3)
 
     @classmethod
     def load(cls, path: Optional[str] = None) -> "RunConfig":
-        parser = configparser.ConfigParser()
-        parser.read_dict(_DEFAULTS)
-        if path is not None:
-            _read(parser, path)
-        try:
-            cfg = cls(
-                paths=dict(parser["paths"]),
-                lowercase=_to_bool(parser["tokenizer"]["lowercase"]),
-                temporal_mask_ratio=parser.getfloat("objectives", "temporal_mask_ratio"),
-                mask_budget=parser.getfloat("objectives", "mask_budget"),
-                replace_prob=parser.getfloat("objectives", "replace_prob"),
-                labelspace_start=parser.get("labelspace", "start", fallback=None),
-                labelspace_end=parser.get("labelspace", "end", fallback=None),
-                labelspace_granularity=parser.get("labelspace", "granularity",
-                                                  fallback="month"),
-                model={
-                    "d_model": parser.getint("model", "d_model"),
-                    "n_layers": parser.getint("model", "n_layers"),
-                    "n_heads": parser.getint("model", "n_heads"),
-                    "d_ff": parser.getint("model", "d_ff"),
-                    "dropout": parser.getfloat("model", "dropout"),
-                    "max_len": parser.getint("model", "max_len"),
-                },
-                train={
-                    "objectives": parser.get("train", "objectives"),
-                    "learning_rate": parser.getfloat("train", "learning_rate"),
-                    "batch_size": parser.getint("train", "batch_size"),
-                    "grad_accumulation": parser.getint("train", "grad_accumulation"),
-                    "epochs": parser.getint("train", "epochs"),
-                    "weight_decay": parser.getfloat("train", "weight_decay"),
-                },
-                finetune={
-                    "learning_rate": parser.getfloat("finetune", "learning_rate"),
-                    "batch_size": parser.getint("finetune", "batch_size"),
-                    "grad_accumulation": parser.getint("finetune", "grad_accumulation"),
-                    "epochs": parser.getint("finetune", "epochs"),
-                    "weight_decay": parser.getfloat("finetune", "weight_decay"),
-                },
-            )
-            if parser.has_option("run", "seed"):
-                cfg.seed = parser.getint("run", "seed")
-            # Derived settings are checked here, not at first use.  [model]
-            # is checked with the smallest vocabulary ModelConfig accepts,
-            # since the real one is only known when a command loads it.
-            cfg.label_space()
-            cfg.model_config(vocab_size=len(SPECIAL_TOKENS) + 1)
-            cfg.train_config()
-            cfg.finetune_config()
-        except (ValueError, configparser.Error) as exc:
-            raise MalformedRecord(f"bad config value: {exc}") from None
+        """Defaults, overridden by the keys the file at path sets.  A bad
+        value, section or key fails here, naming the file, section and key."""
+        if path is None:
+            return cls()
+        texts = _read(path)
+        values = {section: _parse(path, section, t) for section, t in texts.items()}
+
+        def build(section: str, make: Callable[..., T], *args, **kwargs) -> T:
+            try:
+                return make(*args, **kwargs, **values.get(section, {}))
+            except FieldError as exc:
+                key = next(k for k in exc.fields if k in values[section])
+                raise _bad_value(path, section, key, texts[section][key], exc) from None
+
+        cfg = cls(**values.get("run", {}), **values.get("tokenizer", {}),
+                  paths=values.get("paths", {}), model=values.get("model", {}))
+        cfg.masking = build("objectives", Masking)
+        # [model] is checked with the smallest vocabulary ModelConfig
+        # accepts, since the real one is only known when a command loads it.
+        build("model", ModelConfig, vocab_size=len(SPECIAL_TOKENS) + 1)
+        cfg.train = build("train", replace, cfg.train)
+        cfg.finetune = build("finetune", replace, cfg.finetune)
+        space = values.get("labelspace", {})
+        if "start" in space and "end" in space:
+            g = space.get("granularity", Granularity.MONTH)
+            try:
+                cfg.label_space = LabelSpace(g, space["start"], space["end"])
+            except (EmptyRange, GranularityRefinementError) as exc:
+                given = ", ".join(f"{k} {t!r}" for k, t in texts["labelspace"].items())
+                raise MalformedRecord(f"{path}: [labelspace] {given}: "
+                                      f"bad config value: {exc}") from None
         return cfg
 
-    def label_space(self) -> Optional[LabelSpace]:
-        if self.labelspace_start is None or self.labelspace_end is None:
-            return None
-        return LabelSpace(
-            parse_value("[labelspace] granularity", Granularity.parse,
-                        self.labelspace_granularity),
-            parse_value("[labelspace] start", TimePoint.parse, self.labelspace_start),
-            parse_value("[labelspace] end", TimePoint.parse, self.labelspace_end),
-        )
-
-    def model_config(self, vocab_size: int, k_dtp: Optional[int] = None,
-                     seed: Optional[int] = None) -> ModelConfig:
-        return ModelConfig(
-            vocab_size=vocab_size,
-            k_dtp=k_dtp,
-            seed=self.seed if seed is None else seed,
-            **self.model,
-        )
-
-    def train_config(self) -> TrainConfig:
-        spec = dict(self.train)
-        objectives = parse_value("[train] objectives", Objective.parse_set,
-                                 spec.pop("objectives"))
-        return TrainConfig(objectives=objectives, **spec)
-
-    def finetune_config(self) -> TrainConfig:
-        return TrainConfig(objectives=frozenset(), **self.finetune)
+    def model_config(self, vocab_size: int, k_dtp: Optional[int] = None) -> ModelConfig:
+        return ModelConfig(vocab_size=vocab_size, k_dtp=k_dtp, seed=self.seed,
+                           **self.model)

@@ -5,6 +5,15 @@ class ChronoError(Exception):
     """Base class for all toolkit errors."""
 
 
+class FieldError(ValueError):
+    """A settings field out of range; fields names the fields the failed
+    check reads, the one its message is about first."""
+
+    def __init__(self, message: str, *fields: str):
+        super().__init__(message)
+        self.fields = fields
+
+
 class UnresolvableExpression(ChronoError):
     """A temporal expression matches no normalization rule."""
 

@@ -22,7 +22,8 @@ from .model.training import (
     pretrain,
     text_input_ids,
 )
-from .objectives import LabelSpace, Objective, example_provider, format_objectives
+from .objectives import (LabelSpace, Masking, Objective, example_provider,
+                         format_objectives)
 from .temporal import Granularity, TimePoint, distance, render, truncate
 
 
@@ -229,9 +230,7 @@ def run_ablation(
     eval_sets: Sequence[EvalSet],
     combinations: Sequence[frozenset[Objective]] = DEFAULT_ABLATION,
     seed: int = 0,
-    temporal_mask_ratio: float = 0.3,
-    mask_budget: float = 0.15,
-    replace_prob: float = 0.5,
+    masking: Masking = Masking(),
     lowercase: bool = False,
 ) -> list[AblationRow]:
     """Pretrain one model per objective combination and evaluate each.
@@ -243,9 +242,7 @@ def run_ablation(
     for combo in combinations:
         provider = example_provider(
             tagged, vocab, combo, space,
-            temporal_mask_ratio=temporal_mask_ratio,
-            mask_budget=mask_budget,
-            replace_prob=replace_prob,
+            masking=masking,
             seed=seed,
             lowercase=lowercase,
             max_len=model_cfg.max_len,

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .. import util
+from ..errors import FieldError
 from ..objectives import Objective
 
 
@@ -33,31 +35,25 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.vocab_size < 6:
             raise ValueError("vocab_size must cover the special tokens")
+        if self.d_model < 1:
+            raise FieldError("d_model must be at least 1", "d_model")
+        if self.n_layers < 0:
+            raise FieldError("n_layers must be at least 0", "n_layers")
         if self.n_heads < 1:
-            raise ValueError("n_heads must be at least 1")
+            raise FieldError("n_heads must be at least 1", "n_heads")
         if self.d_model % self.n_heads != 0:
-            raise ValueError("d_model must divide evenly into heads")
+            raise FieldError("d_model must divide evenly into heads",
+                             "d_model", "n_heads")
         if self.max_len < 3:
-            raise ValueError("max_len must be at least 3")
+            raise FieldError("max_len must be at least 3", "max_len")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must lie in [0, 1)")
+            raise FieldError("dropout must lie in [0, 1)", "dropout")
         for k in (self.k_dtp, self.k_cls):
             if k is not None and k < 2:
                 raise ValueError("classification heads need at least 2 classes")
 
     def to_json(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "max_len": self.max_len,
-            "d_model": self.d_model,
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "d_ff": self.d_ff,
-            "dropout": self.dropout,
-            "k_dtp": self.k_dtp,
-            "k_cls": self.k_cls,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelConfig":
@@ -84,14 +80,22 @@ class TrainConfig:
     objectives: frozenset[Objective] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.batch_size < 1 or self.grad_accumulation < 1 or self.epochs < 0:
-            raise ValueError("batch_size/grad_accumulation/epochs out of range")
+        # The float checks are written so that nan fails them.
+        if not 0 < self.learning_rate < math.inf:
+            raise FieldError("learning_rate must be positive and finite",
+                             "learning_rate")
+        for name in ("batch_size", "grad_accumulation"):
+            if getattr(self, name) < 1:
+                raise FieldError(f"{name} must be at least 1", name)
+        if self.epochs < 0:
+            raise FieldError("epochs must be at least 0", "epochs")
         if not 0 <= self.adam_beta1 < 1 or not 0 <= self.adam_beta2 < 1:
             raise ValueError("betas must lie in [0, 1)")
-        if self.adam_eps <= 0 or self.weight_decay < 0:
-            raise ValueError("adam_eps must be positive, weight_decay non-negative")
+        if not 0 < self.adam_eps < math.inf:
+            raise ValueError("adam_eps must be positive and finite")
+        if not 0 <= self.weight_decay < math.inf:
+            raise FieldError("weight_decay must be non-negative and finite",
+                             "weight_decay")
         object.__setattr__(self, "objectives", frozenset(self.objectives))
 
 

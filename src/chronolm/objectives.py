@@ -42,7 +42,7 @@ from .corpus import (
     Vocab,
     tokenize,
 )
-from .errors import EmptyRange, OutOfLabelSpace
+from .errors import EmptyRange, FieldError, OutOfLabelSpace
 from .temporal import (
     Granularity,
     TemporalExpression,
@@ -157,6 +157,26 @@ class MaskPlan:
             raise ValueError("positions and actions must align")
         if list(self.masked_positions) != sorted(set(self.masked_positions)):
             raise ValueError("positions must be sorted and unique")
+
+
+@dataclass(frozen=True)
+class Masking:
+    """Sampling rates of the masking objectives, checked against the ranges
+    plan_tamlm, plan_mlm and build_tir accept."""
+
+    temporal_mask_ratio: float = 0.3
+    mask_budget: float = 0.15
+    replace_prob: float = 0.5
+
+    def __post_init__(self) -> None:
+        # Written so that nan fails each check.
+        if not 0.0 <= self.temporal_mask_ratio <= 1.0:
+            raise FieldError("temporal_mask_ratio must lie in [0, 1]",
+                             "temporal_mask_ratio")
+        if not 0.0 < self.mask_budget < 1.0:
+            raise FieldError("mask_budget must lie in (0, 1)", "mask_budget")
+        if not 0.0 <= self.replace_prob <= 1.0:
+            raise FieldError("replace_prob must lie in [0, 1]", "replace_prob")
 
 
 _ACTIONS = (MaskAction.MASK, MaskAction.RANDOM, MaskAction.KEEP)
@@ -573,9 +593,7 @@ def example_provider(
     vocab: Vocab,
     objectives: frozenset[Objective] | set[Objective],
     space: Optional[LabelSpace],
-    temporal_mask_ratio: float = 0.3,
-    mask_budget: float = 0.15,
-    replace_prob: float = 0.5,
+    masking: Masking = Masking(),
     seed: int = 0,
     lowercase: bool = False,
     max_len: Optional[int] = None,
@@ -617,12 +635,13 @@ def example_provider(
             if masked_objectives:
                 out.append(build_pretrain_example(
                     doc, tokdoc, masked_objectives, space,
-                    temporal_mask_ratio, mask_budget, vocab, seed, epoch,
+                    masking.temporal_mask_ratio, masking.mask_budget,
+                    vocab, seed, epoch,
                     rng=next(rngs), label=label,
                 ))
             if Objective.TIR in objectives:
                 out.append(build_tir(
-                    doc, tokdoc, pool, replace_prob, vocab, seed, epoch,
+                    doc, tokdoc, pool, masking.replace_prob, vocab, seed, epoch,
                     lowercase=lowercase, max_len=max_len,
                     rng=next(rngs), encoded=encoded,
                 ))

@@ -244,7 +244,59 @@ def test_bad_model_section_fails_at_load(workdir, tmp_path, capsys):
              "--tagged", workdir / "tagged.jsonl",
              "--vocab", workdir / "vocab.txt",
              "--out", tmp_path / "enc.ckpt")
-    assert_one_error_line(rc, capsys, "bad config value", "heads")
+    assert_one_error_line(rc, capsys, "bad config value", "heads",
+                          f"{tmp_path / 'bad.cfg'}: [model] d_model '30': ")
+
+
+BAD_CONFIG_VALUES = {
+    # name: (config body, command flags, where the error must point)
+    "mask-budget": ("[objectives]\nmask_budget = 1.5\n", ("build-dataset",),
+                    "[objectives] mask_budget '1.5'"),
+    "replace-prob-nan": ("[objectives]\nreplace_prob = nan\n",
+                         ("build-dataset", "--objectives", "tir"),
+                         "[objectives] replace_prob 'nan'"),
+    "learning-rate-nan": ("[train]\nlearning_rate = nan\n",
+                          ("pretrain", "--objectives", "tamlm"),
+                          "[train] learning_rate 'nan'"),
+    "finetune-weight-decay-inf": ("[finetune]\nweight_decay = inf\n",
+                                  ("pretrain", "--objectives", "tamlm"),
+                                  "[finetune] weight_decay 'inf'"),
+    "unknown-key": ("[train]\nlearning_rte = 1e-3\n",
+                    ("pretrain", "--objectives", "tamlm"),
+                    "[train] learning_rte: unknown key"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG_VALUES))
+def test_bad_config_value_is_one_error_line(case, workdir, tmp_path, capsys):
+    body, (command, *flags), named = BAD_CONFIG_VALUES[case]
+    config = tmp_path / "bad.cfg"
+    config.write_text(body)
+    rc = run(command, "--config", config, *flags,
+             "--tagged", workdir / "tagged.jsonl",
+             "--vocab", workdir / "vocab.txt",
+             "--out", tmp_path / "out")
+    assert_one_error_line(rc, capsys, f"{config}: {named}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_build_dataset_objectives_default_to_the_train_section(workdir, tmp_path):
+    config = tmp_path / "mlm.cfg"
+    config.write_text(CONFIG.replace("objectives = tamlm,dtp", "objectives = mlm"))
+    outputs = {}
+    for name, cfg, flags in (("run", workdir / "run.cfg", ()),
+                             ("run-flag", workdir / "run.cfg",
+                              ("--objectives", "tamlm,dtp")),
+                             ("mlm", config, ()),
+                             ("mlm-flag", workdir / "run.cfg", ("--objectives", "mlm"))):
+        out = tmp_path / f"{name}.jsonl"
+        assert run("build-dataset", "--config", cfg, *flags,
+                   "--tagged", workdir / "tagged.jsonl",
+                   "--vocab", workdir / "vocab.txt", "--out", out) == 0
+        outputs[name] = out.read_bytes()
+    assert outputs["run"] == outputs["run-flag"]
+    assert outputs["mlm"] == outputs["mlm-flag"]
+    assert outputs["run"] != outputs["mlm"]
 
 
 def _tagged_line(edit):
