@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import inspect
 import io
 import sys
 from typing import Optional, Sequence
@@ -415,6 +416,12 @@ def cmd_ablate(args, cfg: RunConfig) -> None:
     print(f"{len(rows)} ablation rows -> {out}")
 
 
+def _default(fn, name: str):
+    """The default of fn's parameter name: a flag that passes its value
+    on to fn takes fn's default, so the two cannot drift apart."""
+    return inspect.signature(fn).parameters[name].default
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing leaves it as it was."""
@@ -437,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--corpus", help="corpus JSONL")
     p.add_argument("--max-size", type=int, default=8192)
-    p.add_argument("--min-freq", type=int, default=1)
+    p.add_argument("--min-freq", type=int, default=_default(build_vocab, "min_freq"))
 
     p = sub.add_parser("build-dataset", help="materialize training examples")
     common(p)
@@ -481,14 +488,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline", help="random-guess accuracy and error")
     common(p)
     p.add_argument("--data", help="labeled JSONL supplying gold times")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=int, default=_default(random_guess, "trials"))
 
     p = sub.add_parser("synth", help="generate a synthetic corpus or event set")
     common(p)
     p.add_argument("--n", type=int, default=2000)
     p.add_argument("--start", required=True, help="span start, e.g. 1987-01")
     p.add_argument("--end", required=True, help="span end, e.g. 1990-12")
-    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--noise", type=float, default=_default(synth_corpus, "noise"))
     p.add_argument("--events", action="store_true",
                    help="emit year-labeled events instead of documents")
 

@@ -157,7 +157,11 @@ class RunConfig:
         cfg.train = build("train", replace, cfg.train)
         cfg.finetune = build("finetune", replace, cfg.finetune)
         space = values.get("labelspace", {})
-        if "start" in space and "end" in space:
+        if space:
+            missing = [key for key in ("start", "end") if key not in space]
+            if missing:
+                raise MalformedRecord(f"{path}: [labelspace] {', '.join(missing)}: "
+                                      "missing; a label space needs start and end")
             g = space.get("granularity", Granularity.MONTH)
             try:
                 cfg.label_space = LabelSpace(g, space["start"], space["end"])

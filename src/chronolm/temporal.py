@@ -13,7 +13,7 @@ import enum
 import re
 from dataclasses import dataclass
 from datetime import date, timedelta
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .errors import GranularityRefinementError, UnresolvableExpression
 
@@ -213,8 +213,27 @@ _MONTH_NUM = {m.lower(): i + 1 for i, m in enumerate(MONTH_NAMES)}
 _WEEKDAY_NUM = {w.lower(): i for i, w in enumerate(WEEKDAY_NAMES)}
 
 
+def _one_of(words: tuple[str, ...]) -> str:
+    """A group matching any of words, behind a lookahead for their first
+    letters: the engine passes over a position with one class test instead
+    of trying every word there.  Under re.IGNORECASE the class matches what
+    the words do ("S" and "ſ" for "s")."""
+    return f"(?=[{''.join(sorted({w[0] for w in words}))}])({'|'.join(words)})"
+
+
+# re.IGNORECASE compares characters by their simple lowercase mapping and
+# also pairs "ı" with "i" and "ſ" with "s"; str.lower() alone misses those
+# two, and lowers "İ" (whose simple lowercase is "i") to two code points.
+# Replacing them first makes a gate literal occur in the folded text
+# whenever the regex engine can match it in the text, and turns a matched
+# name ("ſeptember", "FRİDAY") into the key it is listed under;
+# tests/test_temporal.py checks this against the engine over every code point.
+def _fold(text: str) -> str:
+    return text.replace("ı", "i").replace("ſ", "s").replace("İ", "i").lower()
+
+
 def _count(text: str) -> int:
-    text = text.lower()
+    text = _fold(text)
     return _NUMBER_WORDS[text] if text in _NUMBER_WORDS else int(text)
 
 
@@ -257,19 +276,19 @@ def _resolve_iso(m: re.Match, anchor: TimePoint) -> Optional[TimePoint]:
 
 def _resolve_month_day_year(m: re.Match, anchor: TimePoint) -> Optional[TimePoint]:
     try:
-        return TimePoint(int(m.group(3)), _MONTH_NUM[m.group(1).lower()], int(m.group(2)))
+        return TimePoint(int(m.group(3)), _MONTH_NUM[_fold(m.group(1))], int(m.group(2)))
     except ValueError:
         return None
 
 
 def _resolve_month_year(m: re.Match, anchor: TimePoint) -> Optional[TimePoint]:
-    return TimePoint(int(m.group(2)), _MONTH_NUM[m.group(1).lower()])
+    return TimePoint(int(m.group(2)), _MONTH_NUM[_fold(m.group(1))])
 
 
 def _shift(anchor: TimePoint, n: int, unit: str) -> Optional[TimePoint]:
     """Move n units from the anchor; negative n is the past."""
     base = _require_day_anchor(anchor)
-    unit = unit.lower().rstrip("s")
+    unit = _fold(unit).rstrip("s")
     if unit == "day":
         return _safe_day(base, n)
     if unit == "week":
@@ -290,8 +309,8 @@ def _resolve_in_count(m: re.Match, anchor: TimePoint) -> Optional[TimePoint]:
 
 def _resolve_last_next(m: re.Match, anchor: TimePoint) -> Optional[TimePoint]:
     base = _require_day_anchor(anchor)
-    backward = m.group(1).lower() == "last"
-    word = m.group(2).lower()
+    backward = _fold(m.group(1)) == "last"
+    word = _fold(m.group(2))
     if word in _MONTH_NUM:
         # Most recent (or next) such month strictly outside the anchor's month.
         target = _MONTH_NUM[word]
@@ -307,12 +326,12 @@ def _resolve_last_next(m: re.Match, anchor: TimePoint) -> Optional[TimePoint]:
 
 
 def _resolve_weekday(m: re.Match, anchor: TimePoint) -> Optional[TimePoint]:
-    return _last_weekday(_require_day_anchor(anchor), _WEEKDAY_NUM[m.group(1).lower()])
+    return _last_weekday(_require_day_anchor(anchor), _WEEKDAY_NUM[_fold(m.group(1))])
 
 
 def _resolve_relative_day(m: re.Match, anchor: TimePoint) -> Optional[TimePoint]:
     base = _require_day_anchor(anchor)
-    offset = {"today": 0, "yesterday": -1, "tomorrow": 1}[m.group(1).lower()]
+    offset = {"today": 0, "yesterday": -1, "tomorrow": 1}[_fold(m.group(1))]
     return _safe_day(base, offset)
 
 
@@ -342,6 +361,7 @@ def _rule(name: str, rx: str, resolver, *gate: tuple[str, ...]) -> _Rule:
 _MONTHS = tuple(_MONTH_NUM)
 _WEEKDAYS = tuple(_WEEKDAY_NUM)
 _UNITS = ("day", "week", "month", "year")
+_RELATIVE_DAYS = ("today", "yesterday", "tomorrow")
 _CENTURY = ("1", "2")  # the first digit of _YEAR_RX
 
 # Order encodes priority for equal-length overlaps and for normalization.
@@ -349,9 +369,9 @@ _RULES: tuple[_Rule, ...] = (
     _rule("iso_date", rf"\b({_YEAR_RX})([-/])(\d{{1,2}})\2(\d{{1,2}})\b", _resolve_iso,
           ("-", "/"), _CENTURY),
     _rule("month_day_year",
-          rf"\b({_MONTH_RX})\s+(\d{{1,2}})\s*,\s*({_YEAR_RX})\b",
+          rf"\b{_one_of(_MONTHS)}\s+(\d{{1,2}})\s*,\s*({_YEAR_RX})\b",
           _resolve_month_day_year, (",",), _MONTHS, _CENTURY),
-    _rule("month_year", rf"\b({_MONTH_RX})\s+({_YEAR_RX})\b", _resolve_month_year,
+    _rule("month_year", rf"\b{_one_of(_MONTHS)}\s+({_YEAR_RX})\b", _resolve_month_year,
           _MONTHS, _CENTURY),
     _rule("count_ago", rf"\b({_COUNT_RX})\s+({_UNIT_RX})\s+ago\b", _resolve_count_ago,
           ("ago",), _UNITS),
@@ -360,23 +380,17 @@ _RULES: tuple[_Rule, ...] = (
     _rule("last_next",
           rf"\b(last|next)\s+({_MONTH_RX}|{_WEEKDAY_RX}|week|month|year)\b",
           _resolve_last_next, ("last", "next")),
-    _rule("weekday", rf"\b({_WEEKDAY_RX})\b", _resolve_weekday, _WEEKDAYS),
-    _rule("relative_day", r"\b(today|yesterday|tomorrow)\b", _resolve_relative_day,
-          ("today", "yesterday", "tomorrow")),
-    _rule("bare_year", rf"(?<!\d)({_YEAR_RX})(?!\d)", _resolve_bare_year, _CENTURY),
+    _rule("weekday", rf"\b{_one_of(_WEEKDAYS)}\b", _resolve_weekday, _WEEKDAYS),
+    _rule("relative_day", rf"\b{_one_of(_RELATIVE_DAYS)}\b", _resolve_relative_day,
+          _RELATIVE_DAYS),
+    # "No digit before" is checked after the year, so that the pattern
+    # starts with the year's first digit and the engine can skip to it.
+    _rule("bare_year", rf"({_YEAR_RX})(?<!\d{_YEAR_RX})(?!\d)", _resolve_bare_year,
+          _CENTURY),
     _rule("decade", r"\b(?:the\s+)?[12]\d{2}0s\b", None, ("0s",), _CENTURY),
     _rule("vague", r"\b(recently|nowadays|soon)\b", None,
           ("recently", "nowadays", "soon")),
 )
-
-# re.IGNORECASE compares characters by their simple lowercase mapping and
-# also pairs "ı" with "i" and "ſ" with "s"; str.lower() alone misses those
-# two, and lowers "İ" (whose simple lowercase is "i") to two code points.
-# Replacing them first makes a gate literal occur in the folded text
-# whenever the regex engine can match it in the text; tests/test_temporal.py
-# checks this against the engine over every code point.
-def _fold(text: str) -> str:
-    return text.replace("ı", "i").replace("ſ", "s").replace("İ", "i").lower()
 
 
 class _Gates:
@@ -407,38 +421,31 @@ class _Gates:
 _GATES = _Gates(_RULES)
 
 # A fixed anchor suffices to probe whether a match is a valid calendar form;
-# only absolute rules can fail on a valid-looking match.
+# only absolute rules can fail on a valid-looking match, and their
+# resolvers ignore the anchor.
 _PROBE_ANCHOR = TimePoint(2000, 1, 1)
 _ABSOLUTE = {"iso_date", "month_day_year", "month_year", "bare_year"}
 
 
-def _spans(text: str, admitted: list[tuple[int, _Rule]]) -> list[tuple[int, int, bool]]:
-    """(start, end, resolvable) of each recognized span, in text order.
+def _spans(text: str) -> list[tuple[int, int, _Rule, re.Match]]:
+    """(start, end, rule, match) of each recognized span, in text order.
 
-    admitted is _GATES.admitted(text): no other rule can match.  Candidate
-    matches are reconciled longest-first, so "March 5, 1999" wins over its
-    inner bare year.
+    Only the rules _GATES admits scan the text.  Candidate matches are
+    reconciled longest-first, so "March 5, 1999" wins over its inner bare
+    year; an equal-length tie goes to the earlier start, then the earlier
+    rule.  No two rules fullmatch the same string, so a span's rule is the
+    first (and only) one in _RULES order that fullmatches its surface.
     """
-    candidates: list[tuple[int, int, int, _Rule, re.Match]] = []
-    for priority, rule in admitted:
-        for m in rule.pattern.finditer(text):
-            candidates.append((m.start(), m.end(), priority, rule, m))
-    candidates.sort(key=lambda c: (-(c[1] - c[0]), c[0], c[2]))
-
+    # (-length, start, priority) sorts the candidates and is unique to each.
+    candidates = sorted((m.start() - m.end(), m.start(), priority, m.end(), rule, m)
+                        for priority, rule in _GATES.admitted(text)
+                        for m in rule.pattern.finditer(text))
     kept: list[tuple[int, int, _Rule, re.Match]] = []
-    for start, end, _, rule, m in candidates:
-        if any(start < e and end > s for s, e, _, _ in kept):
-            continue
-        kept.append((start, end, rule, m))
-    kept.sort(key=lambda c: c[0])
-
-    out = []
-    for start, end, rule, m in kept:
-        resolvable = rule.resolver is not None
-        if resolvable and rule.name in _ABSOLUTE:
-            resolvable = rule.resolver(m, _PROBE_ANCHOR) is not None
-        out.append((start, end, resolvable))
-    return out
+    for _, start, _, end, rule, m in candidates:
+        if all(end <= s or start >= e for s, e, _, _ in kept):
+            kept.append((start, end, rule, m))
+    kept.sort()
+    return kept
 
 
 def recognize(text: str) -> list[TemporalExpression]:
@@ -448,50 +455,47 @@ def recognize(text: str) -> list[TemporalExpression]:
     over its inner bare year.  Returned expressions carry no normalized
     value; resolvable marks spans a normalization rule can handle.
     """
-    return [TemporalExpression(start, end, text[start:end], None, resolvable)
-            for start, end, resolvable in _spans(text, _GATES.admitted(text))]
-
-
-def _resolve(surface: str, anchor: TimePoint,
-             rules: Iterable[_Rule]) -> Optional[TimePoint]:
-    """The first value that one of rules (in _RULES order) gives the whole surface."""
-    _require_day_anchor(anchor)
-    for rule in rules:
-        if rule.resolver is None:
-            continue
-        m = rule.pattern.fullmatch(surface)
-        if m is None:
-            continue
-        point = rule.resolver(m, anchor)
-        if point is not None:
-            return point
-    return None
+    out = []
+    for start, end, rule, m in _spans(text):
+        resolvable = rule.resolver is not None and (
+            rule.name not in _ABSOLUTE or rule.resolver(m, _PROBE_ANCHOR) is not None)
+        out.append(TemporalExpression(start, end, text[start:end], None, resolvable))
+    return out
 
 
 def normalize(expr: TemporalExpression, anchor: TimePoint) -> TimePoint:
     """Resolve an expression to a time point against a day-granularity anchor.
 
-    Raises UnresolvableExpression when no rule produces a value, including
-    a relative expression that would leave years 1 through 9999.
+    Tries every rule in _RULES order on the whole surface.  Raises
+    UnresolvableExpression when no rule produces a value, including a
+    relative expression that would leave years 1 through 9999.
     """
-    point = _resolve(expr.surface, anchor, _RULES)
-    if point is None:
-        raise UnresolvableExpression(f"no rule resolves {expr.surface!r}")
-    return point
+    _require_day_anchor(anchor)
+    for rule in _RULES:
+        if rule.resolver is None:
+            continue
+        m = rule.pattern.fullmatch(expr.surface)
+        if m is None:
+            continue
+        point = rule.resolver(m, anchor)
+        if point is not None:
+            return point
+    raise UnresolvableExpression(f"no rule resolves {expr.surface!r}")
 
 
 def annotate(text: str, anchor: TimePoint) -> list[TemporalExpression]:
-    """Recognize and normalize in one pass.
+    """Recognize and normalize in one pass: each span resolves with the
+    match that found it, as normalize would resolve its surface.
 
     In the output, resolvable is true exactly when normalized is present.
+    The anchor must have day granularity once a span resolves.
     """
-    admitted = _GATES.admitted(text)
-    # A rule that fullmatches a span finds its gate literals in the span,
-    # so in the text too: the rules the gates shut out resolve no span.
-    rules = [rule for _, rule in admitted]
+    day_anchor = anchor.granularity is Granularity.DAY
     out = []
-    for start, end, resolvable in _spans(text, admitted):
-        surface = text[start:end]
-        point = _resolve(surface, anchor, rules) if resolvable else None
-        out.append(TemporalExpression(start, end, surface, point, point is not None))
+    for start, end, rule, m in _spans(text):
+        point = None if rule.resolver is None else rule.resolver(m, anchor)
+        if point is not None and not day_anchor:
+            _require_day_anchor(anchor)  # raises; absolute resolvers skip it
+        out.append(TemporalExpression(start, end, text[start:end], point,
+                                      point is not None))
     return out

@@ -1,17 +1,25 @@
 """End-to-end runs of every command against a tiny synthetic corpus."""
 
+import contextlib
 import csv
+import inspect
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chronolm
-from chronolm.cli import main
+from chronolm.cli import build_parser, main
+from chronolm.corpus import build_vocab
+from chronolm.evaluation import random_guess
 from chronolm.objectives import build_labelspace
-from chronolm.synth import synth_corpus
+from chronolm.synth import synth_corpus, synth_events
 from chronolm.temporal import Granularity, TimePoint
 from chronolm.util import write_jsonl
 
@@ -236,6 +244,13 @@ def test_bad_label_space_fails_at_load(tmp_path, capsys):
     rc = run("tag", "--config", tmp_path / "bad.cfg",
              "--corpus", tmp_path / "absent.jsonl", "--out", tmp_path / "out")
     assert_one_error_line(rc, capsys, "[labelspace] start", "1990-13")
+
+
+def test_half_a_label_space_fails_at_load(tmp_path, capsys):
+    (tmp_path / "half.cfg").write_text("[labelspace]\nstart = 1990-01\n")
+    rc = run("tag", "--config", tmp_path / "half.cfg",
+             "--corpus", tmp_path / "absent.jsonl", "--out", tmp_path / "out")
+    assert_one_error_line(rc, capsys, f"{tmp_path / 'half.cfg'}: [labelspace] end: missing")
 
 
 def test_bad_model_section_fails_at_load(workdir, tmp_path, capsys):
@@ -627,6 +642,18 @@ def test_vocabulary_without_special_tokens_is_reported(workdir, tmp_path, capsys
     assert_one_error_line(rc, capsys, f"{tmp_path / 'vocab.txt'}:", "special tokens")
 
 
+@pytest.mark.parametrize("argv, flag, functions", [
+    (["build-vocab"], "min_freq", [build_vocab]),
+    (["baseline"], "trials", [random_guess]),
+    (["synth", "--start", "1990", "--end", "1991"], "noise",
+     [synth_corpus, synth_events]),
+])
+def test_flag_defaults_are_the_library_defaults(argv, flag, functions):
+    value = getattr(build_parser().parse_args(argv), flag)
+    for fn in functions:
+        assert value == inspect.signature(fn).parameters[flag].default, fn.__name__
+
+
 def test_flag_overrides_config_seed(workdir, tmp_path):
     out1 = tmp_path / "s1.jsonl"
     out2 = tmp_path / "s2.jsonl"
@@ -668,3 +695,64 @@ def test_bad_numeric_flag_is_reported(case, workdir, tmp_path, capsys):
     rc = run(command, *inputs, *flags, "--out", out)
     assert_one_error_line(rc, capsys, needle)
     assert not out.exists()
+
+
+# ------------------------------------------------------------ tag under fuzz
+
+_FUZZ_WORDS = ("tomorrow", "yesterday", "today", "next Friday", "last Friday",
+               "Monday", "in 3 weeks", "2 days ago", "next year", "last month",
+               "in 12 months", "last December", "March 5, 1999", "2000-02-30",
+               "1999", "the 1990s", "soon", "ſeptember 1999", "FRİDAY", "yeſterday",
+               "ın fıve days", "laſt year", "ſ", "ı", "İ", "-", "\t", "x")
+# Mostly the calendar's first and last days, then stamps that fail to parse.
+_FUZZ_STAMPS = ("0001-01-01", "0001-01-01", "0001-01-07", "9999-12-31", "9999-12-31",
+                "9999-12-25", "2000-02-29", "0000-01-01", "9999-12-32", "1900-02-29",
+                "1990-1-1", "")
+_WRONG_TYPES = (1, 1.5, True, None, [], {}, ["1990-01-01"])
+
+
+@st.composite
+def corpus_files(draw):
+    """Corpus JSONL whose lines may be cut, mistyped or missing a field."""
+    lines = []
+    for i in range(draw(st.integers(1, 3))):
+        words = draw(st.lists(st.sampled_from(_FUZZ_WORDS), max_size=6))
+        record = {"id": f"d{i}", "timestamp": draw(st.sampled_from(_FUZZ_STAMPS)),
+                  "text": draw(st.sampled_from((" ", "", ", "))).join(words)}
+        change = draw(st.sampled_from(("none", "none", "cut", "type", "drop")))
+        if change in ("type", "drop"):
+            key = draw(st.sampled_from(sorted(record)))
+            if change == "type":
+                record[key] = draw(st.sampled_from(_WRONG_TYPES))
+            else:
+                del record[key]
+        line = json.dumps(record, ensure_ascii=draw(st.booleans()))
+        if change == "cut":
+            line = line[:draw(st.integers(0, len(line) - 1))]
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+@given(corpus_files())
+@settings(max_examples=100, deadline=None)
+def test_tag_exits_cleanly_on_fuzzed_corpora(text):
+    # Exit 0 with well-formed spans, or exit 1 with one error line; an
+    # exception escaping main (a traceback from the command) fails.
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus, out = os.path.join(tmp, "corpus.jsonl"), os.path.join(tmp, "tagged.jsonl")
+        with open(corpus, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["tag", "--corpus", corpus, "--out", out])
+        if rc == 0:
+            assert err.getvalue() == ""
+            with open(out, encoding="utf-8") as fh:
+                for line in fh:
+                    record = json.loads(line)
+                    for e in record["expressions"]:
+                        assert record["text"][e["start"]:e["end"]] == e["surface"]
+        else:
+            lines = err.getvalue().splitlines()
+            assert rc == 1 and len(lines) == 1 and lines[0].startswith("error: "), lines
+            assert not os.path.exists(out)

@@ -122,6 +122,25 @@ def test_labelspace_section_checked_at_load(tmp_path, body, named):
     assert str(info.value).startswith(f"{path}: [labelspace] {named}: ")
 
 
+@pytest.mark.parametrize("body, missing", [
+    ("start = 1990-01\n", "end"),
+    ("end = 1990-12\ngranularity = month\n", "start"),
+    ("granularity = year\n", "start, end"),
+])
+def test_half_a_labelspace_section_is_rejected_at_load(tmp_path, body, missing):
+    path = tmp_path / "run.cfg"
+    path.write_text("[labelspace]\n" + body)
+    with pytest.raises(MalformedRecord) as info:
+        RunConfig.load(str(path))
+    assert str(info.value).startswith(f"{path}: [labelspace] {missing}: missing")
+
+
+def test_empty_labelspace_section_sets_no_space(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("[labelspace]\n")
+    assert RunConfig.load(str(path)).label_space is None
+
+
 @pytest.mark.parametrize("body, named", [
     ("[model]\nd_modle = 64\n", "[model] d_modle: unknown key"),
     ("[train]\nlearning_rte = 1e-3\n", "[train] learning_rte: unknown key"),
