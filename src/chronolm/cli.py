@@ -96,11 +96,13 @@ def _string(obj: dict, key: str) -> str:
 
 def _load_labeled(path: str, space: Optional[LabelSpace] = None) -> list[LabeledExample]:
     """Labelled events from a JSONL file; with a space, every time must lie in it."""
+    points = util.Memo(TimePoint.parse)  # each distinct time string is parsed once
+
     def parse(obj: dict) -> LabeledExample:
-        time = TimePoint.parse(_string(obj, "time"))
+        time = points[_string(obj, "time")]
         if space is not None:
             space.index_of(time)
-        doc_ts = (TimePoint.parse(_string(obj, "doc_timestamp"))
+        doc_ts = (points[_string(obj, "doc_timestamp")]
                   if obj.get("doc_timestamp") else None)
         doc_text = (_string(obj, "doc_text")
                     if obj.get("doc_text") is not None else None)
@@ -278,15 +280,6 @@ def cmd_finetune(args, cfg: RunConfig) -> None:
     print(f"fine-tuned on {len(records)} examples -> {out}")
 
 
-def _metric_rows(name: str, predictions, granularities):
-    rows = []
-    for g in granularities:
-        scoped = [Prediction(p.predicted, p.gold, g) for p in predictions]
-        rows.append((name, "acc", str(g), f"{accuracy(scoped):.4f}"))
-        rows.append((name, "mae", str(g), f"{mae(scoped, g):.4f}"))
-    return rows
-
-
 def _parse_granularities(text: Optional[str], default: Granularity):
     if not text:
         return [default]
@@ -317,8 +310,9 @@ def cmd_eval(args, cfg: RunConfig) -> None:
         picks = classify(ckpt, [ids for ids, _ in records])
         predictions = predictions_from_picks(picks, examples, space)
         default = space.granularity
-    granularities = _parse_granularities(args.granularities, default)
-    rows = _metric_rows(args.name, predictions, granularities)
+    rows = [(args.name, metric, str(g), f"{score(predictions, g):.4f}")
+            for g in _parse_granularities(args.granularities, default)
+            for metric, score in (("acc", accuracy), ("mae", mae))]
     _write_csv(out, ("configuration", "metric", "granularity", "value"), rows)
     print(f"{len(rows)} metric rows -> {out}")
 

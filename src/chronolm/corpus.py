@@ -235,7 +235,6 @@ class TemporalGroup:
 class TokenizedDoc:
     doc_id: str
     token_ids: tuple[int, ...]
-    token_spans: tuple[tuple[int, int], ...]
     temporal_groups: tuple[TemporalGroup, ...]
 
 
@@ -288,7 +287,7 @@ def tokenize(
         groups.append(TemporalGroup(index, start, end, expr.resolvable,
                                     expr.normalized))
     return TokenizedDoc(doc.id, tuple(map(vocab._ids.get, forms, repeat(UNK))),
-                        tuple(zip(starts[:kept], ends[:kept])), tuple(groups))
+                        tuple(groups))
 
 
 def expression_to_json(expr: TemporalExpression) -> dict:

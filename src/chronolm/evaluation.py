@@ -24,7 +24,7 @@ from .model.training import (
 )
 from .objectives import (LabelSpace, Masking, Objective, example_provider,
                          format_objectives)
-from .temporal import Granularity, TimePoint, distance, render, truncate
+from .temporal import Granularity, TimePoint, distance, render, time_index, truncate
 
 
 @dataclass(frozen=True)
@@ -44,18 +44,20 @@ def predictions_from_picks(
     """Classifier picks (label-space indices) against the examples' gold
     times, judged at the space's granularity."""
     g = space.granularity
-    return [Prediction(space.point_at(int(pick)), truncate(e.time, g), g)
+    points = util.Memo(space.point_at)
+    return [Prediction(points[int(pick)], truncate(e.time, g), g)
             for pick, e in zip(picks, examples)]
 
 
-def accuracy(predictions: Sequence[Prediction]) -> float:
-    """Percentage of predictions matching gold after truncation."""
+def accuracy(predictions: Sequence[Prediction],
+             g: Optional[Granularity] = None) -> float:
+    """Percentage of predictions matching gold after truncation to g, by
+    default to each prediction's own granularity."""
     if not predictions:
         raise EmptyInput("no predictions")
-    hits = sum(
-        truncate(p.predicted, p.granularity) == truncate(p.gold, p.granularity)
-        for p in predictions
-    )
+    # Two points match at granularity h exactly when their indices at h do.
+    hits = sum(time_index(p.predicted, h) == time_index(p.gold, h)
+               for p in predictions for h in [p.granularity if g is None else g])
     return 100.0 * hits / len(predictions)
 
 

@@ -7,7 +7,9 @@ float32 arrays follow.  Writing the same checkpoint twice is byte-identical.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -48,14 +50,13 @@ def save_checkpoint(ckpt: EncoderCheckpoint, path: str) -> None:
         "vocab_sha256": ckpt.vocab_sha256,
         "manifest": manifest,
     }
-    blob = bytearray()
-    blob += (json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+    parts = [(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n").encode()]
     for name, shape in manifest:
         tensor = np.ascontiguousarray(ckpt.params[name], dtype="<f4")
         if list(tensor.shape) != shape:
             raise ValueError(f"tensor {name} has shape {tensor.shape}, expected {shape}")
-        blob += tensor.tobytes()
-    util.atomic_write_bytes(path, bytes(blob))
+        parts.append(tensor)
+    util.atomic_write_bytes(path, b"".join(parts))
 
 
 Manifest = list[tuple[str, tuple[int, ...]]]
@@ -101,25 +102,27 @@ def load_checkpoint(
 ) -> EncoderCheckpoint:
     """Read a checkpoint; verifies the vocabulary hash when one is supplied.
 
-    Raises MalformedRecord naming the tensor when the manifest disagrees
-    with the header's config or a tensor holds a non-finite value.
+    The tensors are views of one float32 buffer, read at once.  Raises
+    MalformedRecord naming the tensor when the manifest disagrees with the
+    header's config, or the first tensor cut short or holding a non-finite value.
     """
     with open(path, "rb") as fh:
         config, vocab_sha256, manifest = _parse_header(path, fh.readline())
-        params: dict[str, np.ndarray] = {}
-        for name, shape in manifest:
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(4 * count)
-            if len(raw) != 4 * count:
-                raise MalformedRecord(f"{path}: truncated tensor {name}")
-            arr = np.frombuffer(raw, dtype="<f4").reshape(shape)
-            if not np.isfinite(arr).all():
-                raise MalformedRecord(f"{path}: tensor {name} has non-finite values")
-            params[name] = arr.astype(dtype)
+        offsets = [0, *itertools.accumulate(math.prod(s) for _, s in manifest)]
+        body = np.empty(offsets[-1], dtype="<f4")
+        read = fh.readinto(body) // 4
+        if read < body.size or not np.isfinite(body).all():
+            for (name, _), start, end in zip(manifest, offsets, offsets[1:]):
+                if end > read:
+                    raise MalformedRecord(f"{path}: truncated tensor {name}")
+                if not np.isfinite(body[start:end]).all():
+                    raise MalformedRecord(f"{path}: tensor {name} has non-finite values")
         if fh.read(1):
             raise MalformedRecord(f"{path}: trailing bytes after manifest")
     if vocab is not None and vocab.content_hash() != vocab_sha256:
         raise VocabMismatch(
             f"{path}: checkpoint was built against a different vocabulary"
         )
+    params = {name: body[start:end].reshape(shape).astype(dtype, copy=False)
+              for (name, shape), start, end in zip(manifest, offsets, offsets[1:])}
     return EncoderCheckpoint(config, params, vocab_sha256, vocab)

@@ -123,9 +123,9 @@ def truncate(t: TimePoint, g: Granularity) -> TimePoint:
         raise GranularityRefinementError(
             f"cannot refine {t.granularity} value {t.isoformat()} to {g}"
         )
-    if g is Granularity.YEAR:
+    if g is Granularity.YEAR and t.month is not None:
         return TimePoint(t.year)
-    if g is Granularity.MONTH:
+    if g is Granularity.MONTH and t.day is not None:
         return TimePoint(t.year, t.month)
     return t
 
@@ -136,12 +136,12 @@ def time_index(t: TimePoint, g: Granularity) -> int:
     Years count as calendar years, months as months since year 0, days as
     proleptic Gregorian ordinals.  Requires t truncatable to g.
     """
-    if g > t.granularity:
-        truncate(t, g)  # raises GranularityRefinementError
     if g is Granularity.YEAR:
         return t.year
-    if g is Granularity.MONTH:
+    if g is Granularity.MONTH and t.month is not None:
         return t.year * 12 + (t.month - 1)
+    if t.day is None:
+        truncate(t, g)  # raises GranularityRefinementError
     return date(t.year, t.month, t.day).toordinal()
 
 
@@ -383,9 +383,9 @@ _RULES: tuple[_Rule, ...] = (
     _rule("weekday", rf"\b{_one_of(_WEEKDAYS)}\b", _resolve_weekday, _WEEKDAYS),
     _rule("relative_day", rf"\b{_one_of(_RELATIVE_DAYS)}\b", _resolve_relative_day,
           _RELATIVE_DAYS),
-    # "No digit before" is checked after the year, so that the pattern
-    # starts with the year's first digit and the engine can skip to it.
-    _rule("bare_year", rf"({_YEAR_RX})(?<!\d{_YEAR_RX})(?!\d)", _resolve_bare_year,
+    # No word character may touch the year ("x1999" is one token).  The one before
+    # is checked after the year, so the pattern starts with a digit to skip to.
+    _rule("bare_year", rf"({_YEAR_RX})(?<!\w{_YEAR_RX})(?!\w)", _resolve_bare_year,
           _CENTURY),
     _rule("decade", r"\b(?:the\s+)?[12]\d{2}0s\b", None, ("0s",), _CENTURY),
     _rule("vague", r"\b(recently|nowadays|soon)\b", None,

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import functools
 import inspect
 import io
 import json
@@ -16,8 +17,9 @@ from hypothesis import strategies as st
 
 import chronolm
 from chronolm.cli import build_parser, main
-from chronolm.corpus import build_vocab
+from chronolm.corpus import SPECIAL_TOKENS, Vocab, build_vocab
 from chronolm.evaluation import random_guess
+from chronolm.model import EncoderCheckpoint, ModelConfig, save_checkpoint
 from chronolm.objectives import build_labelspace
 from chronolm.synth import synth_corpus, synth_events
 from chronolm.temporal import Granularity, TimePoint
@@ -496,6 +498,42 @@ def test_probe_rejects_bad_checkpoints(workdir, capsys):
         assert "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def tiny_probe_inputs(tmp_path_factory):
+    """A small encoder checkpoint, its vocabulary and a year label space."""
+    root = tmp_path_factory.mktemp("probe-fuzz")
+    vocab = Vocab(SPECIAL_TOKENS + ("the", "treaty", "of", "1990", "1991", "1992"))
+    vocab.save(str(root / "vocab.txt"))
+    cfg = ModelConfig(vocab_size=vocab.size, max_len=16, d_model=8, n_layers=1,
+                      n_heads=2, d_ff=16)
+    save_checkpoint(EncoderCheckpoint.fresh(cfg, vocab), str(root / "enc.ckpt"))
+    (root / "year.cfg").write_text(YEAR_CONFIG)
+    return root
+
+
+@given(cut=st.none() | st.integers(min_value=0),
+       flips=st.lists(st.integers(min_value=0), max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_probe_exits_cleanly_on_damaged_checkpoints(tiny_probe_inputs, cut, flips):
+    # Bit flips anywhere (header or tensors), then perhaps a cut: exit 0, or
+    # exit 1 with one error line; an exception escaping main fails.
+    root = tiny_probe_inputs
+    data = bytearray((root / "enc.ckpt").read_bytes())
+    for bit in flips:
+        data[bit // 8 % len(data)] ^= 1 << bit % 8
+    if cut is not None:
+        data = data[:cut % (len(data) + 1)]
+    (root / "damaged.ckpt").write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = run("probe", "--config", root / "year.cfg",
+                 "--checkpoint", root / "damaged.ckpt", "--vocab", root / "vocab.txt",
+                 "--query", "the treaty of 1992", "--out", root / "probe.csv")
+    if rc != 0:
+        lines = err.getvalue().splitlines()
+        assert rc == 1 and len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
 def test_baseline(workdir):
     rc = run("baseline", "--config", workdir / "year.cfg",
              "--data", workdir / "events.jsonl",
@@ -756,3 +794,44 @@ def test_tag_exits_cleanly_on_fuzzed_corpora(text):
             lines = err.getvalue().splitlines()
             assert rc == 1 and len(lines) == 1 and lines[0].startswith("error: "), lines
             assert not os.path.exists(out)
+
+
+# -------------------------------------------- tag -> build-dataset under fuzz
+
+_GLUES = ("", "", " ", ", ", "_", "x", "7")
+
+
+@st.composite
+def glued_corpora(draw):
+    """Valid corpora whose texts glue the tagger's surfaces to each other
+    and to letters, digits and underscores ("x1999", "1999_soon")."""
+    docs = []
+    for i in range(draw(st.integers(1, 3))):
+        words = draw(st.lists(st.sampled_from(_FUZZ_WORDS), max_size=8))
+        text = "".join(w + draw(st.sampled_from(_GLUES)) for w in words)
+        stamp = draw(st.sampled_from(("1990-01-01", "1990-06-15", "1990-12-31")))
+        docs.append({"id": f"d{i}", "timestamp": stamp, "text": text})
+    return docs
+
+
+@given(glued_corpora())
+@settings(max_examples=100, deadline=None)
+def test_build_dataset_accepts_what_tag_writes(docs):
+    # Every span tag writes covers whole tokens, so the chain never stops
+    # with an alignment error (or any other).
+    with tempfile.TemporaryDirectory() as tmp:
+        path = functools.partial(os.path.join, tmp)
+        write_jsonl(path("corpus.jsonl"), docs)
+        with open(path("run.cfg"), "w", encoding="utf-8") as fh:
+            fh.write(CONFIG)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            for argv in (
+                ["tag", "--corpus", path("corpus.jsonl"), "--out", path("tagged.jsonl")],
+                ["build-vocab", "--corpus", path("corpus.jsonl"),
+                 "--out", path("vocab.txt")],
+                ["build-dataset", "--config", path("run.cfg"),
+                 "--tagged", path("tagged.jsonl"), "--vocab", path("vocab.txt"),
+                 "--objectives", "tamlm,dtp,tir", "--out", path("dataset.jsonl")],
+            ):
+                assert main(argv) == 0, err.getvalue()

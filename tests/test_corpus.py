@@ -190,10 +190,11 @@ def test_tokenize_aligns_expressions_to_token_groups():
     tok = tokenize(doc, vocab, exprs)
     assert len(tok.temporal_groups) == 2
     first, second = tok.temporal_groups
-    spans = tok.token_spans
+    spans = word_spans(doc.text)
+    assert tok.token_ids == tuple(vocab.id_of(form) for form, _, _ in spans)
     # group token range re-covers the expression surface
-    assert doc.text[spans[first.token_start][0]:spans[first.token_end - 1][1]] == "1993"
-    covered = doc.text[spans[second.token_start][0]:spans[second.token_end - 1][1]]
+    assert doc.text[spans[first.token_start][1]:spans[first.token_end - 1][2]] == "1993"
+    covered = doc.text[spans[second.token_start][1]:spans[second.token_end - 1][2]]
     assert covered == "last December"
     assert second.token_end - second.token_start == 2
 

@@ -81,12 +81,11 @@ def _oracle_tokenize(doc, vocab, exprs, lowercase=False, max_len=None):
     ids = {t: i for i, t in enumerate(vocab.tokens)}
     plain = [(e.start, e.end, e.resolvable, e.normalized) for e in exprs]
     try:
-        token_ids, spans, groups = oracles.tokenize(
+        token_ids, _, groups = oracles.tokenize(
             doc.id, doc.text, ids, UNK, plain, lowercase, max_len)
     except oracles.AlignmentError as exc:
         raise AlignmentError(str(exc)) from None
-    return TokenizedDoc(doc.id, token_ids, spans,
-                        tuple(TemporalGroup(*g) for g in groups))
+    return TokenizedDoc(doc.id, token_ids, tuple(TemporalGroup(*g) for g in groups))
 
 
 def _outcome(fn, *args):

@@ -609,9 +609,13 @@ def test_checkpoint_round_trip_bytes(tmp_path):
     loaded = load_checkpoint(str(p1), vocab=vocab)
     save_checkpoint(loaded, str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+    wide = load_checkpoint(str(p1), vocab=vocab, dtype=np.float64)
     for k in ckpt.params:
         np.testing.assert_array_equal(ckpt.params[k],
                                       loaded.params[k].astype(np.float32))
+        assert loaded.params[k].flags.writeable
+        assert wide.params[k].dtype == np.float64
+        np.testing.assert_array_equal(wide.params[k], loaded.params[k])
 
 
 def test_checkpoint_vocab_hash_guard(tmp_path):
@@ -631,8 +635,17 @@ def test_checkpoint_truncation_detected(tmp_path):
     path = tmp_path / "d.ckpt"
     save_checkpoint(ckpt, str(path))
     data = path.read_bytes()
-    path.write_bytes(data[:-8])
-    with pytest.raises(Exception):
+    end = data.index(b"\n") + 1
+    for name in sorted(ckpt.params):  # the manifest's order
+        start, end = end, end + ckpt.params[name].nbytes
+        # Cut where the tensor starts, and inside its last float.
+        for cut in (start, end - 1):
+            path.write_bytes(data[:cut])
+            with pytest.raises(MalformedRecord, match=f"truncated tensor {name}$"):
+                load_checkpoint(str(path), vocab=vocab)
+    assert end == len(data)
+    path.write_bytes(data + b"\0")
+    with pytest.raises(MalformedRecord, match="trailing bytes after manifest$"):
         load_checkpoint(str(path), vocab=vocab)
 
 
@@ -672,6 +685,23 @@ def test_checkpoint_rejects_non_finite_tensor(tmp_path):
     save_checkpoint(ckpt, str(path))
     with pytest.raises(MalformedRecord, match="layer0.ffn.w1"):
         load_checkpoint(str(path), vocab=vocab)
+
+
+def test_checkpoint_reports_the_first_bad_tensor(tmp_path):
+    # A non-finite value ahead of the cut tensor is reported; one inside it
+    # is not.
+    vocab = make_vocab()
+    ckpt = EncoderCheckpoint.fresh(small_config(vocab_size=vocab.size), vocab)
+    last = sorted(ckpt.params)[-1]
+    ckpt.params["emb.pos"][0, 0] = np.inf
+    ckpt.params[last][0] = np.nan
+    path = tmp_path / "g.ckpt"
+    for message in ("tensor emb.pos has non-finite values", f"truncated tensor {last}"):
+        save_checkpoint(ckpt, str(path))
+        path.write_bytes(path.read_bytes()[:-4])
+        with pytest.raises(MalformedRecord, match=f"{message}$"):
+            load_checkpoint(str(path), vocab=vocab)
+        ckpt.params["emb.pos"][0, 0] = 0.0
 
 
 # ---------------------------------------------------------------- training

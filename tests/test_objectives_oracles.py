@@ -100,8 +100,7 @@ def hand_built_docs(draw):
         end = draw(st.integers(start + 1, start + 4))
         groups.append(TemporalGroup(i, start, end, True, None))
     ids = tuple(draw(st.lists(st.integers(5, 30), min_size=n, max_size=n)))
-    spans = tuple((k, k + 1) for k in range(n))
-    return TokenizedDoc("d", ids, spans, tuple(groups))
+    return TokenizedDoc("d", ids, tuple(groups))
 
 
 @given(hand_built_docs(), st.floats(0.0, 1.0), st.floats(0.01, 0.99), seeds64)
@@ -140,7 +139,7 @@ def plans(draw):
     positions = tuple(sorted(draw(st.sets(st.integers(0, n - 1)))))
     actions = tuple(draw(st.lists(st.sampled_from(list(MaskAction)),
                                   min_size=len(positions), max_size=len(positions))))
-    tokdoc = TokenizedDoc("d", ids, tuple((k, k + 1) for k in range(n)), ())
+    tokdoc = TokenizedDoc("d", ids, ())
     return tokdoc, MaskPlan((), positions, actions)
 
 

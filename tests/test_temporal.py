@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chronolm.corpus import word_spans
 from chronolm.errors import GranularityRefinementError, UnresolvableExpression
 from chronolm.objectives import build_labelspace
 from chronolm.synth import synth_corpus
@@ -32,6 +33,7 @@ from chronolm.temporal import (
     truncate,
     _fold,
     _Gates,
+    _spans,
 )
 
 import oracles
@@ -85,6 +87,17 @@ def test_truncate_refuses_refinement():
         truncate(TimePoint(2007), Granularity.MONTH)
     with pytest.raises(GranularityRefinementError):
         truncate(TimePoint(2007, 2), Granularity.DAY)
+
+
+@pytest.mark.parametrize("point, g, message", [
+    (TimePoint(2007), Granularity.MONTH, "cannot refine year value 2007 to month"),
+    (TimePoint(2007), Granularity.DAY, "cannot refine year value 2007 to day"),
+    (TimePoint(2007, 2), Granularity.DAY, "cannot refine month value 2007-02 to day"),
+])
+def test_time_index_refuses_refinement_as_truncate_does(point, g, message):
+    for fn in (truncate, time_index):
+        with pytest.raises(GranularityRefinementError, match=f"^{message}$"):
+            fn(point, g)
 
 
 # ------------------------------------------------------- calendar arithmetic
@@ -220,6 +233,10 @@ def test_bare_year_window():
     assert recognize("item 0999") == []
     assert recognize("year 3000") == []
     assert recognize("id 19871") == []  # digit context blocks the match
+    # So does any word character: "x1999" and "1999b" are each one token.
+    assert recognize("the x1999 ledger and 1999b too") == []
+    assert recognize("_1999 1999_ é1999 1999é") == []
+    assert [e.surface for e in recognize("(1999) -1999- 1999.")] == ["1999"] * 3
 
 
 def test_relative_counts():
@@ -407,11 +424,24 @@ def _as_tuples(exprs):
              e.resolvable) for e in exprs]
 
 
+_WORD_CHAR = re.compile(r"\w")
+
+
+def _unglued(text, spans):
+    """The frozen tagger's spans less those with a word character just
+    before or after.  Only its bare_year rule, whose guards looked at
+    digits alone, made such spans ("x1999"); the current rule rejects them.
+    Every other candidate is at least five characters long or needs a word
+    boundary at both ends, so no span those four digits shut out returns."""
+    return [s for s in spans
+            if not any(_WORD_CHAR.match(text, i) for i in (s[0] - 1, s[1]) if i >= 0)]
+
+
 def _oracle_annotate(text, anchor):
     """The frozen tagger's spans and values, with a value off the calendar
     (or a weekday shift that overflowed there) made unresolvable."""
     out = []
-    for start, end, surface, _, resolvable in oracles.recognize(text):
+    for start, end, surface, _, resolvable in _unglued(text, oracles.recognize(text)):
         point = None
         if resolvable:
             try:
@@ -428,12 +458,12 @@ def _oracle_annotate(text, anchor):
 @settings(max_examples=400, deadline=None)
 def test_tagger_matches_frozen_oracle_on_vocabulary_texts(text, anchor):
     ymd = (anchor.year, anchor.month, anchor.day)
-    assert _as_tuples(recognize(text)) == oracles.recognize(text)
+    assert _as_tuples(recognize(text)) == _unglued(text, oracles.recognize(text))
     got = _as_tuples(annotate(text, TimePoint(*ymd)))
     expected = _oracle_annotate(text, ymd)
     assert got == expected
     try:
-        frozen = oracles.annotate(text, ymd)
+        frozen = _unglued(text, oracles.annotate(text, ymd))
     except OverflowError:  # a weekday shift past the calendar's ends
         return
     # Equal to the frozen tagger except where its value is off the calendar.
@@ -442,6 +472,16 @@ def test_tagger_matches_frozen_oracle_on_vocabulary_texts(text, anchor):
         if ours != theirs:
             assert not 1 <= theirs[3][0] <= 9999
             assert ours == theirs[:3] + (None, False)
+
+
+@given(st.one_of(vocabulary_texts(), st.text(alphabet="1290x_é -,./\t"), st.text()))
+@settings(max_examples=300, deadline=None)
+def test_every_span_starts_and_ends_on_a_token_boundary(text):
+    # tokenize aligns an expression only to whole word-level tokens.
+    tokens = word_spans(text)
+    starts, ends = {t[1] for t in tokens}, {t[2] for t in tokens}
+    for start, end, _, _ in _spans(text):
+        assert start in starts and end in ends, (start, end)
 
 
 @pytest.mark.parametrize("n_docs", [300, 2000, 150])
