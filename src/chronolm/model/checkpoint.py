@@ -7,9 +7,7 @@ float32 arrays follow.  Writing the same checkpoint twice is byte-identical.
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -102,27 +100,26 @@ def load_checkpoint(
 ) -> EncoderCheckpoint:
     """Read a checkpoint; verifies the vocabulary hash when one is supplied.
 
-    The tensors are views of one float32 buffer, read at once.  Raises
+    Each tensor is read in place into its own float32 array; separate
+    arrays land in the holes earlier calls freed, where one body-sized
+    buffer would split the hole a later training arena needs.  Raises
     MalformedRecord naming the tensor when the manifest disagrees with the
     header's config, or the first tensor cut short or holding a non-finite value.
     """
     with open(path, "rb") as fh:
         config, vocab_sha256, manifest = _parse_header(path, fh.readline())
-        offsets = [0, *itertools.accumulate(math.prod(s) for _, s in manifest)]
-        body = np.empty(offsets[-1], dtype="<f4")
-        read = fh.readinto(body) // 4
-        if read < body.size or not np.isfinite(body).all():
-            for (name, _), start, end in zip(manifest, offsets, offsets[1:]):
-                if end > read:
-                    raise MalformedRecord(f"{path}: truncated tensor {name}")
-                if not np.isfinite(body[start:end]).all():
-                    raise MalformedRecord(f"{path}: tensor {name} has non-finite values")
+        params: dict[str, np.ndarray] = {}
+        for name, shape in manifest:
+            tensor = np.empty(shape, dtype="<f4")
+            if fh.readinto(tensor) != tensor.nbytes:
+                raise MalformedRecord(f"{path}: truncated tensor {name}")
+            if not np.isfinite(tensor).all():
+                raise MalformedRecord(f"{path}: tensor {name} has non-finite values")
+            params[name] = tensor.astype(dtype, copy=False)
         if fh.read(1):
             raise MalformedRecord(f"{path}: trailing bytes after manifest")
     if vocab is not None and vocab.content_hash() != vocab_sha256:
         raise VocabMismatch(
             f"{path}: checkpoint was built against a different vocabulary"
         )
-    params = {name: body[start:end].reshape(shape).astype(dtype, copy=False)
-              for (name, shape), start, end in zip(manifest, offsets, offsets[1:])}
     return EncoderCheckpoint(config, params, vocab_sha256, vocab)
