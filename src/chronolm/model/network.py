@@ -14,6 +14,13 @@ after attention (output projection, dropout, ln2, feed-forward and ln_f)
 on those rows only.  The backward scatters the rows' gradient back into
 the full stream just before the last layer's attention backward.
 
+Inference forwards (keep_cache=False) keep nothing for a backward: each
+block's intermediates are freed when it returns, so one layer's
+activations are live at a time.  With rows, the last layer's attention
+also prunes to the rows' queries right after the scores: scale, key bias,
+softmax and probs @ v run for those queries alone.  The outputs are the
+same bits as a cached forward's.
+
 Cross-entropy sums are returned unreduced together with their counts, so a
 caller can normalize over a whole gradient-accumulation group and make
 accumulated steps match concatenated-batch steps.
@@ -150,7 +157,7 @@ class EncoderCache:
     key_bias: np.ndarray
     emb_drop: Optional[np.ndarray]
     layers: list[dict]
-    ln_f: tuple
+    ln_f: Optional[tuple]  # None: the forward kept no cache
     rows: Optional[np.ndarray] = None
 
 
@@ -163,6 +170,10 @@ def validate_ids(cfg: ModelConfig, ids: np.ndarray) -> None:
         raise UnknownTokenId("token id outside the vocabulary")
 
 
+def _keep_nothing(**arrays) -> None:
+    """The layer stash of a forward that no backward reads."""
+
+
 def encoder_forward(
     params: dict[str, np.ndarray],
     cfg: ModelConfig,
@@ -170,6 +181,8 @@ def encoder_forward(
     train: bool = False,
     rng: Optional[np.random.Generator] = None,
     rows: Optional[np.ndarray] = None,
+    *,
+    keep_cache: bool = True,
 ):
     """Hidden states for a padded id batch.
 
@@ -187,6 +200,11 @@ def encoder_forward(
     all, but its output projection, dropout, ln2, feed-forward and ln_f
     run on the rows alone.  Dropout masks are drawn at the full shape
     either way, so the rng stream does not depend on rows.
+
+    keep_cache=False is for forwards that no backward reads (see the
+    module docstring): the returned cache then holds no layers and no
+    ln_f, and encoder_backward refuses it.  The hidden states are the same
+    bits either way.
     """
     validate_ids(cfg, ids)
     if train and cfg.dropout > 0.0 and rng is None:
@@ -221,54 +239,85 @@ def encoder_forward(
     def drop_mask(index: int, keep: Optional[np.ndarray]) -> np.ndarray:
         return masks[index] if keep is None else masks[index][keep]
 
-    layers = []
-    for i in range(cfg.n_layers):
+    # Each block returns its residual update; whatever it does not stash is
+    # freed when it returns.
+    def attention(i: int, h: np.ndarray, keep: Optional[np.ndarray],
+                  stash) -> np.ndarray:
         p = f"layer{i}."
-        cache: dict = {}
-        keep = rows if i == cfg.n_layers - 1 else None
-
-        a, cache["ln1"] = layer_norm_fwd(h, params[p + "ln1.g"], params[p + "ln1.b"])
-        cache["a"] = a
+        a, ln1 = layer_norm_fwd(h, params[p + "ln1.g"], params[p + "ln1.b"])
         q = a @ params[p + "attn.wq"]
         q += params[p + "attn.bq"]
         k = a @ params[p + "attn.wk"]
         k += params[p + "attn.bk"]
         v = a @ params[p + "attn.wv"]
         v += params[p + "attn.bv"]
+        stash(ln1=ln1, a=a)
         q, k, v = heads(q), heads(k), heads(v)
         scores = q @ k.transpose(0, 1, 3, 2)
+        stash(q=q, k=k)
+        bias = key_bias
+        pruned = keep is not None and not keep_cache
+        if pruned:
+            # Only the rows' queries go on.  Row-wise steps give the full
+            # attention's bits, BLAS calls on fewer rows may not: a q or
+            # score GEMM on fewer rows picks other kernels, and numpy hands
+            # a one-row probs @ v to gemv, which sums in another order than
+            # gemm.  So q and the scores stay whole, and each row goes into
+            # probs @ v twice.
+            seq, pos = np.divmod(keep, L)
+            scores, v, bias = scores[seq, :, pos, None], v[seq], key_bias[seq]
         scores *= scale
-        scores += key_bias
+        scores += bias
         probs = softmax(scores, axis=-1)
-        ctx2 = (probs @ v).transpose(0, 2, 1, 3).reshape(N, D)
-        if keep is not None:
-            ctx2, h = ctx2[keep], h[keep]
+        if pruned:
+            ctx2 = (np.repeat(probs, 2, axis=2) @ v)[:, :, 0].reshape(-1, D)
+        else:
+            ctx2 = (probs @ v).transpose(0, 2, 1, 3).reshape(N, D)
+            if keep is not None:
+                ctx2 = ctx2[keep]
         o = ctx2 @ params[p + "attn.wo"]
         o += params[p + "attn.bo"]
-        cache.update(q=q, k=k, v=v, probs=probs, ctx2=ctx2)
+        stash(v=v, probs=probs, ctx2=ctx2)
         if dropout:
-            cache["attn_drop"] = drop_mask(1 + 2 * i, keep)
-            o *= cache["attn_drop"]
-        h += o
+            mask = drop_mask(1 + 2 * i, keep)
+            stash(attn_drop=mask)
+            o *= mask
+        return o
 
-        a2, cache["ln2"] = layer_norm_fwd(h, params[p + "ln2.g"], params[p + "ln2.b"])
-        cache["a2"] = a2
+    def feed_forward(i: int, h: np.ndarray, keep: Optional[np.ndarray],
+                     stash) -> np.ndarray:
+        p = f"layer{i}."
+        a2, ln2 = layer_norm_fwd(h, params[p + "ln2.g"], params[p + "ln2.b"])
         z = a2 @ params[p + "ffn.w1"]
         z += params[p + "ffn.b1"]
         u, t = gelu(z)
         f = u @ params[p + "ffn.w2"]
         f += params[p + "ffn.b2"]
-        cache.update(z=z, u=u, t=t)
+        stash(ln2=ln2, a2=a2, z=z, u=u, t=t)
         if dropout:
-            cache["ffn_drop"] = drop_mask(2 + 2 * i, keep)
-            f *= cache["ffn_drop"]
-        h += f
-        layers.append(cache)
+            mask = drop_mask(2 + 2 * i, keep)
+            stash(ffn_drop=mask)
+            f *= mask
+        return f
+
+    layers = []
+    for i in range(cfg.n_layers):
+        keep = rows if i == cfg.n_layers - 1 else None
+        cache: dict = {}
+        stash = cache.update if keep_cache else _keep_nothing
+        o = attention(i, h, keep, stash)
+        if keep is not None:
+            h = h[keep]
+        h += o
+        h += feed_forward(i, h, keep, stash)
+        if keep_cache:
+            layers.append(cache)
 
     if rows is not None and not cfg.n_layers:
         h = h[rows]
     out, ln_f_cache = layer_norm_fwd(h, params["ln_f.g"], params["ln_f.b"])
-    cache = EncoderCache(ids, key_bias, emb_drop, layers, ln_f_cache, rows)
+    cache = EncoderCache(ids, key_bias, emb_drop, layers,
+                         ln_f_cache if keep_cache else None, rows)
     return (out if rows is not None else out.reshape(B, L, D)), cache
 
 
@@ -287,6 +336,9 @@ def encoder_backward(
     out's array of that name (fresh arrays without out), and the returned
     dict names those arrays.
     """
+    if cache.ln_f is None:
+        raise ValueError("encoder_backward needs the cache of a forward "
+                         "run with keep_cache=True")
     dtype = params["emb.tok"].dtype
     if out is None:
         out = {name: np.empty_like(p) for name, p in params.items()

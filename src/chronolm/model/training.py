@@ -232,13 +232,9 @@ def prepare_labeled(
     lowercase: bool = False,
     max_len: Optional[int] = None,
 ) -> list[tuple[tuple[int, ...], int]]:
-    return [
-        (
-            labeled_input_ids(e, vocab, lowercase, max_len),
-            space.index_of(e.time),
-        )
-        for e in examples
-    ]
+    index = util.Memo(space.index_of)  # each distinct time is looked up once
+    return [(labeled_input_ids(e, vocab, lowercase, max_len), index[e.time])
+            for e in examples]
 
 
 def finetune(
@@ -293,7 +289,8 @@ def finetune(
 def encode(checkpoint: EncoderCheckpoint, input_ids: Sequence[int]) -> np.ndarray:
     """Inference-mode hidden states for one sequence, shape (length, d_model)."""
     ids = np.asarray(input_ids, dtype=np.int64)[None, :]
-    hidden, _ = encoder_forward(checkpoint.params, checkpoint.config, ids)
+    hidden, _ = encoder_forward(checkpoint.params, checkpoint.config, ids,
+                                keep_cache=False)
     return hidden[0]
 
 
@@ -323,7 +320,7 @@ def _forward_chunks(
         ids = _pad_rows([list(s) for s in chunk], PAD)
         rows = np.arange(0, ids.size, ids.shape[1]) if first_only else None
         hidden, _ = encoder_forward(checkpoint.params, checkpoint.config, ids,
-                                    rows=rows)
+                                    rows=rows, keep_cache=False)
         yield chunk, hidden
 
 

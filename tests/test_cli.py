@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import functools
 import inspect
 import io
@@ -394,27 +395,40 @@ def test_tag_at_the_calendar_edges_round_trips(workdir, tmp_path):
     assert len((tmp_path / "dataset.jsonl").read_text().splitlines()) == 2
 
 
-def test_pretrain_and_determinism(workdir):
-    for out in ("enc.ckpt", "enc2.ckpt"):
-        rc = run("pretrain", "--config", workdir / "run.cfg",
-                 "--tagged", workdir / "tagged.jsonl",
-                 "--vocab", workdir / "vocab.txt",
-                 "--out", workdir / out,
-                 "--loss-log", workdir / "loss.csv")
-        assert rc == 0
-    assert (workdir / "enc.ckpt").read_bytes() == \
-        (workdir / "enc2.ckpt").read_bytes()
+def _pretrain(workdir, out):
+    return run("pretrain", "--config", workdir / "run.cfg",
+               "--tagged", workdir / "tagged.jsonl",
+               "--vocab", workdir / "vocab.txt",
+               "--out", workdir / out,
+               "--loss-log", workdir / "loss.csv")
+
+
+@pytest.fixture(scope="module")
+def encoder(workdir):
+    """workdir's pretrained enc.ckpt, made from the tagged corpus and the
+    vocabulary it writes first, so no test depends on another's output."""
+    assert run("tag", "--corpus", workdir / "corpus.jsonl",
+               "--out", workdir / "tagged.jsonl") == 0
+    assert run("build-vocab", "--corpus", workdir / "corpus.jsonl",
+               "--out", workdir / "vocab.txt") == 0
+    assert _pretrain(workdir, "enc.ckpt") == 0
+    return workdir / "enc.ckpt"
+
+
+def test_pretrain_and_determinism(workdir, encoder):
+    assert _pretrain(workdir, "enc2.ckpt") == 0
+    assert encoder.read_bytes() == (workdir / "enc2.ckpt").read_bytes()
     rows = read_csv(workdir / "loss.csv")
     assert {r["objective"] for r in rows} == {"tamlm", "dtp"}
     assert all(float(r["loss"]) > 0 for r in rows)
 
 
-def test_synth_events_and_finetune_eval(workdir):
+def test_synth_events_and_finetune_eval(workdir, encoder):
     rc = run("synth", "--events", "--n", 40, "--start", 1990, "--end", 1994,
              "--seed", 5, "--out", workdir / "events.jsonl")
     assert rc == 0
     rc = run("finetune", "--config", workdir / "year.cfg",
-             "--checkpoint", workdir / "enc.ckpt",
+             "--checkpoint", encoder,
              "--train-data", workdir / "events.jsonl",
              "--vocab", workdir / "vocab.txt",
              "--out", workdir / "tuned.ckpt")
@@ -462,9 +476,9 @@ def test_eval_rejects_bad_prediction_record(tmp_path, capsys, case):
     assert_one_error_line(rc, capsys, "preds.jsonl line 1", needle)
 
 
-def test_probe(workdir):
+def test_probe(workdir, encoder):
     rc = run("probe", "--config", workdir / "year.cfg",
-             "--checkpoint", workdir / "enc.ckpt",
+             "--checkpoint", encoder,
              "--vocab", workdir / "vocab.txt",
              "--query", "the treaty of 1992",
              "--out", workdir / "probe.csv")
@@ -474,8 +488,8 @@ def test_probe(workdir):
     assert [int(r["rank"]) for r in rows] == [1, 2, 3, 4, 5]
 
 
-def test_probe_rejects_bad_checkpoints(workdir, capsys):
-    header, _, body = (workdir / "enc.ckpt").read_bytes().partition(b"\n")
+def test_probe_rejects_bad_checkpoints(workdir, encoder, capsys):
+    header, _, body = encoder.read_bytes().partition(b"\n")
     edited = json.loads(header)
     edited["config"]["n_layers"] = 2
     edited = json.dumps(edited, sort_keys=True, separators=(",", ":")).encode()
@@ -499,14 +513,17 @@ def test_probe_rejects_bad_checkpoints(workdir, capsys):
 
 
 @pytest.fixture(scope="module")
-def tiny_probe_inputs(tmp_path_factory):
-    """A small encoder checkpoint, its vocabulary and a year label space."""
-    root = tmp_path_factory.mktemp("probe-fuzz")
+def tiny_inputs(tmp_path_factory):
+    """A small encoder checkpoint, the same with a classifier over the
+    year label space (tuned.ckpt), their vocabulary and that space."""
+    root = tmp_path_factory.mktemp("tiny")
     vocab = Vocab(SPECIAL_TOKENS + ("the", "treaty", "of", "1990", "1991", "1992"))
     vocab.save(str(root / "vocab.txt"))
     cfg = ModelConfig(vocab_size=vocab.size, max_len=16, d_model=8, n_layers=1,
                       n_heads=2, d_ff=16)
     save_checkpoint(EncoderCheckpoint.fresh(cfg, vocab), str(root / "enc.ckpt"))
+    tuned = dataclasses.replace(cfg, k_cls=5)
+    save_checkpoint(EncoderCheckpoint.fresh(tuned, vocab), str(root / "tuned.ckpt"))
     (root / "year.cfg").write_text(YEAR_CONFIG)
     return root
 
@@ -514,10 +531,10 @@ def tiny_probe_inputs(tmp_path_factory):
 @given(cut=st.none() | st.integers(min_value=0),
        flips=st.lists(st.integers(min_value=0), max_size=3))
 @settings(max_examples=100, deadline=None)
-def test_probe_exits_cleanly_on_damaged_checkpoints(tiny_probe_inputs, cut, flips):
+def test_probe_exits_cleanly_on_damaged_checkpoints(tiny_inputs, cut, flips):
     # Bit flips anywhere (header or tensors), then perhaps a cut: exit 0, or
     # exit 1 with one error line; an exception escaping main fails.
-    root = tiny_probe_inputs
+    root = tiny_inputs
     data = bytearray((root / "enc.ckpt").read_bytes())
     for bit in flips:
         data[bit // 8 % len(data)] ^= 1 << bit % 8
@@ -547,12 +564,15 @@ def test_baseline(workdir):
 BAD_LABELED = {
     "not-object": ("[1, 2]", "not a JSON object"),
     "time-not-string": ('{"text": "in 1990", "time": 1990}', "time must be a string"),
+    "doc-text-without-timestamp": ('{"text": "in 1990", "time": "1990", "doc_text": "x"}',
+                                   "doc_text needs a doc_timestamp"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_LABELED))
 @pytest.mark.parametrize("command", ["baseline", "finetune"])
-def test_labeled_data_rejects_bad_record(workdir, tmp_path, capsys, command, case):
+def test_labeled_data_rejects_bad_record(workdir, encoder, tmp_path, capsys, command,
+                                        case):
     bad_line, needle = BAD_LABELED[case]
     good = (workdir / "events.jsonl").read_text().splitlines()[0]
     (tmp_path / "bad.jsonl").write_text(f"{good}\n{bad_line}\n")
@@ -560,7 +580,7 @@ def test_labeled_data_rejects_bad_record(workdir, tmp_path, capsys, command, cas
         flags = ["--data", tmp_path / "bad.jsonl", "--trials", 10]
     else:
         flags = ["--train-data", tmp_path / "bad.jsonl",
-                 "--checkpoint", workdir / "enc.ckpt",
+                 "--checkpoint", encoder,
                  "--vocab", workdir / "vocab.txt"]
     rc = run(command, "--config", workdir / "year.cfg", *flags,
              "--out", tmp_path / "out")
@@ -568,13 +588,13 @@ def test_labeled_data_rejects_bad_record(workdir, tmp_path, capsys, command, cas
 
 
 @pytest.mark.parametrize("command", ["finetune", "eval", "ablate"])
-def test_labeled_event_outside_the_label_space_is_named(workdir, tmp_path, capsys,
-                                                        command):
+def test_labeled_event_outside_the_label_space_is_named(workdir, encoder, tmp_path,
+                                                        capsys, command):
     good = (workdir / "events.jsonl").read_text().splitlines()[0]
     (tmp_path / "old.jsonl").write_text(f'{good}\n{{"text": "long ago", "time": "1950"}}\n')
     config = workdir / "year.cfg"
     if command == "finetune":
-        flags = ["--train-data", tmp_path / "old.jsonl", "--checkpoint", workdir / "enc.ckpt"]
+        flags = ["--train-data", tmp_path / "old.jsonl", "--checkpoint", encoder]
     elif command == "eval":
         flags = ["--data", tmp_path / "old.jsonl", "--checkpoint", workdir / "tuned.ckpt"]
     else:
@@ -835,3 +855,53 @@ def test_build_dataset_accepts_what_tag_writes(docs):
                  "--objectives", "tamlm,dtp,tir", "--out", path("dataset.jsonl")],
             ):
                 assert main(argv) == 0, err.getvalue()
+
+
+# ------------------------------------------------------- eval under fuzz
+
+_FUZZ_TIMES = ("1990", "1994", "1992-05", "1992-05-03", " 1991 ", "1950", "2100",
+               "0000", "1992-13", "1992-02-30", "19x2", "")
+_FUZZ_TEXTS = ("the treaty of 1992", "", " ", "unknown words", "1990 1991 1992")
+
+
+@st.composite
+def labeled_files(draw):
+    """Labelled-event JSONL whose lines may be cut, mistyped, missing a
+    field or carry the optional document fields."""
+    lines = []
+    for _ in range(draw(st.integers(1, 3))):
+        record = {"text": draw(st.sampled_from(_FUZZ_TEXTS)),
+                  "time": draw(st.sampled_from(_FUZZ_TIMES))}
+        if draw(st.booleans()):
+            record["doc_timestamp"] = draw(st.sampled_from(_FUZZ_TIMES))
+        if draw(st.booleans()):
+            record["doc_text"] = draw(st.sampled_from(_FUZZ_TEXTS))
+        change = draw(st.sampled_from(("none", "none", "cut", "type", "drop")))
+        if change in ("type", "drop"):
+            key = draw(st.sampled_from(sorted(record)))
+            if change == "type":
+                record[key] = draw(st.sampled_from(_WRONG_TYPES))
+            else:
+                del record[key]
+        line = json.dumps(record)
+        if change == "cut":
+            line = line[:draw(st.integers(0, len(line) - 1))]
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+@given(text=labeled_files())
+@settings(max_examples=100, deadline=None)
+def test_eval_exits_cleanly_on_fuzzed_labeled_data(tiny_inputs, text):
+    # Exit 0, or exit 1 with one error line; an exception escaping main
+    # (a traceback from the command) fails.
+    root = tiny_inputs
+    (root / "events.jsonl").write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = run("eval", "--config", root / "year.cfg", "--checkpoint", root / "tuned.ckpt",
+                 "--data", root / "events.jsonl", "--vocab", root / "vocab.txt",
+                 "--out", root / "results.csv")
+    if rc != 0:
+        lines = err.getvalue().splitlines()
+        assert rc == 1 and len(lines) == 1 and lines[0].startswith("error: "), lines

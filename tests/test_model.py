@@ -1,8 +1,10 @@
 """Encoder forward/backward, optimizer behavior, checkpoints, training."""
 
 import dataclasses
+import itertools
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -262,6 +264,16 @@ def test_encoder_keeps_float32_in_every_cache_array_and_gradient():
         assert g.dtype == np.float32, name
 
 
+def test_backward_of_a_cache_less_forward_is_refused():
+    cfg = small_config()
+    params = init_params(cfg)
+    ids = np.array([[CLS, 7, 8, SEP, PAD], [CLS, 9, 10, 11, SEP]])
+    for rows in (None, np.array([0, 5])):
+        hidden, cache = encoder_forward(params, cfg, ids, rows=rows, keep_cache=False)
+        with pytest.raises(ValueError, match="keep_cache"):
+            encoder_backward(params, cfg, cache, np.ones_like(hidden))
+
+
 def test_encoder_rejects_bad_inputs():
     cfg = small_config()
     params = init_params(cfg)
@@ -480,6 +492,63 @@ def test_encode_batch_returns_every_position():
     assert [g.shape for g in got] == [(5, 16), (3, 16), (4, 16)]
     for i, g in enumerate(got):
         assert np.array_equal(g, hidden[i, :len(sequences[i])])
+    alone, _ = encoder_forward(ckpt.params, cfg, ids[:1])
+    assert np.array_equal(encode(ckpt, sequences[0]), alone[0])
+
+
+# ------------------------------------------------- cache-less forwards
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_layers", [0, 1, 2])
+@pytest.mark.parametrize("length", [1, 5, 16])
+def test_cache_less_forward_is_bit_identical(dtype, n_layers, length):
+    # Streaming the layers and pruning the last attention to the rows'
+    # queries must not move a single bit of the hidden states.
+    cfg = small_config(n_layers=n_layers, dropout=0.1)
+    params = init_params(cfg, dtype=dtype)
+    shake = rng_from(5, "shake")
+    for p in params.values():
+        p += shake.normal(0.0, 0.3, size=p.shape).astype(dtype)
+    gen = rng_from(length, "ids")
+    ids = gen.integers(len(SPECIAL_TOKENS), cfg.vocab_size, size=(7, length))
+    for b, n in enumerate(gen.integers(1, length + 1, size=7)):
+        ids[b, n:] = PAD
+    some = np.unique(gen.integers(0, ids.size, size=6))
+    for rows, train in itertools.product(
+            (None, np.arange(0, ids.size, length), some), (False, True)):
+        want, _ = encoder_forward(params, cfg, ids, train, rng_from(0, "drop"), rows)
+        got, cache = encoder_forward(params, cfg, ids, train, rng_from(0, "drop"), rows,
+                                     keep_cache=False)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert cache.layers == [] and cache.ln_f is None
+
+
+def test_cache_less_forward_holds_one_layer_at_a_time():
+    # A d128, 2-layer forward over a 64 x 11 chunk, as eval runs it: the
+    # cached forward's peak holds layer 0's whole cache, the streamed one's
+    # does not.
+    cfg = ModelConfig(vocab_size=64, max_len=16, d_model=128, n_layers=2,
+                      n_heads=4, d_ff=512, seed=1)
+    params = init_params(cfg)
+    ids = rng_from(0, "ids").integers(len(SPECIAL_TOKENS), cfg.vocab_size, size=(64, 11))
+
+    def peak(keep_cache):
+        tracemalloc.start()
+        try:
+            _, cache = encoder_forward(params, cfg, ids, keep_cache=keep_cache)
+            return tracemalloc.get_traced_memory()[1], cache
+        finally:
+            tracemalloc.stop()
+
+    cached, cache = peak(True)
+    streamed, _ = peak(False)
+    ids_of_params = {id(p) for p in params.values()}
+    layer = sum(a.nbytes for value in cache.layers[0].values()
+                for a in (value if isinstance(value, tuple) else (value,))
+                if id(a) not in ids_of_params)
+    assert layer > 5_000_000
+    assert cached - streamed >= layer
 
 
 # ---------------------------------------------------------- gradient checks
