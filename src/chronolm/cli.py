@@ -106,8 +106,6 @@ def _load_labeled(path: str, space: Optional[LabelSpace] = None) -> list[Labeled
                   if obj.get("doc_timestamp") else None)
         doc_text = (_string(obj, "doc_text")
                     if obj.get("doc_text") is not None else None)
-        if doc_text is not None and doc_ts is None:
-            raise ValueError("doc_text needs a doc_timestamp")
         return LabeledExample(text=_string(obj, "text"), time=time,
                               doc_timestamp=doc_ts, doc_text=doc_text)
 

@@ -16,10 +16,8 @@ the full stream just before the last layer's attention backward.
 
 Inference forwards (keep_cache=False) keep nothing for a backward: each
 block's intermediates are freed when it returns, so one layer's
-activations are live at a time.  With rows, the last layer's attention
-also prunes to the rows' queries right after the scores: scale, key bias,
-softmax and probs @ v run for those queries alone.  The outputs are the
-same bits as a cached forward's.
+activations are live at a time.  They run the same operations as a cached
+forward, so their outputs are the same bits.
 
 Cross-entropy sums are returned unreduced together with their counts, so a
 caller can normalize over a whole gradient-accumulation group and make
@@ -251,33 +249,17 @@ def encoder_forward(
         k += params[p + "attn.bk"]
         v = a @ params[p + "attn.wv"]
         v += params[p + "attn.bv"]
-        stash(ln1=ln1, a=a)
         q, k, v = heads(q), heads(k), heads(v)
         scores = q @ k.transpose(0, 1, 3, 2)
-        stash(q=q, k=k)
-        bias = key_bias
-        pruned = keep is not None and not keep_cache
-        if pruned:
-            # Only the rows' queries go on.  Row-wise steps give the full
-            # attention's bits, BLAS calls on fewer rows may not: a q or
-            # score GEMM on fewer rows picks other kernels, and numpy hands
-            # a one-row probs @ v to gemv, which sums in another order than
-            # gemm.  So q and the scores stay whole, and each row goes into
-            # probs @ v twice.
-            seq, pos = np.divmod(keep, L)
-            scores, v, bias = scores[seq, :, pos, None], v[seq], key_bias[seq]
         scores *= scale
-        scores += bias
+        scores += key_bias
         probs = softmax(scores, axis=-1)
-        if pruned:
-            ctx2 = (np.repeat(probs, 2, axis=2) @ v)[:, :, 0].reshape(-1, D)
-        else:
-            ctx2 = (probs @ v).transpose(0, 2, 1, 3).reshape(N, D)
-            if keep is not None:
-                ctx2 = ctx2[keep]
+        ctx2 = (probs @ v).transpose(0, 2, 1, 3).reshape(N, D)
+        if keep is not None:
+            ctx2 = ctx2[keep]
         o = ctx2 @ params[p + "attn.wo"]
         o += params[p + "attn.bo"]
-        stash(v=v, probs=probs, ctx2=ctx2)
+        stash(ln1=ln1, a=a, q=q, k=k, v=v, probs=probs, ctx2=ctx2)
         if dropout:
             mask = drop_mask(1 + 2 * i, keep)
             stash(attn_drop=mask)

@@ -187,6 +187,10 @@ class LabeledExample:
     doc_timestamp: Optional[TimePoint] = None
     doc_text: Optional[str] = None
 
+    def __post_init__(self):
+        if self.doc_text is not None and self.doc_timestamp is None:
+            raise ValueError("doc_text needs a doc_timestamp")
+
 
 def text_input_ids(
     text: str,
@@ -215,8 +219,6 @@ def labeled_input_ids(
     if example.doc_text is None:
         seq = [CLS, *first, SEP]
     else:
-        if example.doc_timestamp is None:
-            raise ValueError("document text requires a document timestamp")
         stamp = vocab.encode(render(example.doc_timestamp), lowercase)
         doc = vocab.encode(example.doc_text, lowercase)
         seq = [CLS, *first, SEP, *stamp, *doc, SEP]

@@ -502,8 +502,7 @@ def test_encode_batch_returns_every_position():
 @pytest.mark.parametrize("n_layers", [0, 1, 2])
 @pytest.mark.parametrize("length", [1, 5, 16])
 def test_cache_less_forward_is_bit_identical(dtype, n_layers, length):
-    # Streaming the layers and pruning the last attention to the rows'
-    # queries must not move a single bit of the hidden states.
+    # Streaming the layers must not move a single bit of the hidden states.
     cfg = small_config(n_layers=n_layers, dropout=0.1)
     params = init_params(cfg, dtype=dtype)
     shake = rng_from(5, "shake")
