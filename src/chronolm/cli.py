@@ -22,13 +22,11 @@ from . import util
 from .config import RunConfig, parse_value
 from .corpus import (
     SPECIAL_TOKENS,
-    Document,
     Vocab,
     build_vocab,
     load_corpus,
     load_tagged,
     tagged_to_json,
-    tokenize,
 )
 from .errors import (
     AlignmentError,
@@ -44,8 +42,6 @@ from .evaluation import (
     Prediction,
     accuracy,
     mae,
-    mean_average_precision,
-    mrr,
     predictions_from_picks,
     random_guess,
     run_ablation,

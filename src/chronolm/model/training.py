@@ -1,14 +1,16 @@
-"""Pretraining and fine-tuning loops, plus checkpoint-level inference helpers.
+"""Pretraining and fine-tuning, plus checkpoint-level inference helpers.
 
-Loss normalization happens over whole gradient-accumulation groups: each
-micro-batch backpropagates component sums divided by the group's total item
-counts, so an accumulated step equals the step a single concatenated batch
-would have taken.
+pretrain and finetune run one optimizer loop, _train; they differ only in
+their example groups and batch builders (pretrain_batch, tir_batch,
+cls_batch).  Loss normalization happens over whole gradient-accumulation
+groups: each micro-batch backpropagates component sums divided by the
+group's total item counts, so an accumulated step equals the step a single
+concatenated batch would have taken.
 
-The loops train in the optimizer's arena (optim.Arena): the first
+The loop trains in the optimizer's arena (optim.Arena): the first
 micro-batch of a group writes its gradients straight into the arena's flat
 gradient buffer, and each later one into a scratch buffer that is then
-added in with one flat sum.
+added in with one flat sum.  Every inference forward runs in _forward_chunks.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ Dataset = Union[
 ]
 
 
-def _pad_rows(rows: list[list[int]], fill: int) -> np.ndarray:
+def _pad_rows(rows: Sequence[Sequence[int]], fill: int) -> np.ndarray:
     width = max(len(r) for r in rows)
     out = np.full((len(rows), width), fill, dtype=np.int64)
     for i, r in enumerate(rows):
@@ -50,8 +52,8 @@ def _pad_rows(rows: list[list[int]], fill: int) -> np.ndarray:
 
 
 def pretrain_batch(examples: Sequence[PretrainExample]) -> Batch:
-    ids = _pad_rows([list(e.input_ids) for e in examples], PAD)
-    labels = _pad_rows([list(e.mlm_labels) for e in examples], IGNORE_INDEX)
+    ids = _pad_rows([e.input_ids for e in examples], PAD)
+    labels = _pad_rows([e.mlm_labels for e in examples], IGNORE_INDEX)
     dtp = np.array(
         [e.dtp_label if e.dtp_label is not None else -1 for e in examples],
         dtype=np.int64,
@@ -61,7 +63,7 @@ def pretrain_batch(examples: Sequence[PretrainExample]) -> Batch:
 
 
 def tir_batch(examples: Sequence[TirExample]) -> Batch:
-    ids = _pad_rows([list(e.input_ids) for e in examples], PAD)
+    ids = _pad_rows([e.input_ids for e in examples], PAD)
     rows = [
         (i, s.boundary_left, s.boundary_right, s.label)
         for i, e in enumerate(examples)
@@ -70,6 +72,12 @@ def tir_batch(examples: Sequence[TirExample]) -> Batch:
     slots = (np.array(rows, dtype=np.int64) if rows
              else np.zeros((0, 4), dtype=np.int64))
     return Batch(ids=ids, slots=slots)
+
+
+def cls_batch(records: Sequence[tuple[Sequence[int], int]]) -> Batch:
+    ids = _pad_rows([r[0] for r in records], PAD)
+    labels = np.array([r[1] for r in records], dtype=np.int64)
+    return Batch(ids=ids, cls_labels=labels)
 
 
 def _chunks(seq: list, size: int) -> list[list]:
@@ -116,6 +124,51 @@ def _run_step(
     return {k: totals[k] / denoms[k] for k in totals}
 
 
+def _train(
+    params: dict[str, np.ndarray],
+    cfg: ModelConfig,
+    train_cfg: TrainConfig,
+    seed: int,
+    epoch_groups: Callable[[int], Iterable[tuple[Sequence, Callable[[Sequence], Batch]]]],
+    name_docs: bool = False,
+) -> list[LogRow]:
+    """Train params in place.  epoch_groups(epoch) gives the epoch's
+    (examples, batch builder) pairs; step i trains on the i-th accumulation
+    group of each.  name_docs puts the step's doc ids in a NonFiniteGradient."""
+    state = AdamState.for_params(params)  # params now name views of its arena
+    log: list[LogRow] = []
+    step = 0
+    for epoch in range(train_cfg.epochs):
+        order_rng = util.rng_from(seed, "order", epoch)
+        # Accumulation groups of (micro-batch, its examples), per example group.
+        streams: list[list[list[tuple[Batch, Sequence]]]] = []
+        for examples, builder in epoch_groups(epoch):
+            if not examples:
+                continue
+            idx = order_rng.permutation(len(examples))
+            shuffled = [examples[i] for i in idx]
+            micro = [(builder(c), c) for c in _chunks(shuffled, train_cfg.batch_size)]
+            streams.append(_chunks(micro, train_cfg.grad_accumulation))
+
+        drop_rng = util.rng_from(seed, "dropout", epoch)
+        for i in range(max((len(s) for s in streams), default=0)):
+            group = [m for s in streams if i < len(s) for m in s[i]]
+            try:
+                losses = _run_step(params, cfg, [b for b, _ in group],
+                                   train_cfg, state, drop_rng)
+            except NonFiniteGradient as exc:
+                where = f"epoch {epoch}"
+                if name_docs:
+                    where += ", docs " + ", ".join(
+                        dict.fromkeys(e.doc_id for _, c in group for e in c))
+                raise NonFiniteGradient(f"step {step + 1} ({where}): {exc}") from None
+            step += 1
+            for component in sorted(losses):
+                log.append((step, _component_name(component, train_cfg.objectives),
+                            losses[component]))
+    return log
+
+
 def pretrain(
     dataset: Dataset,
     vocab: Vocab,
@@ -137,43 +190,15 @@ def pretrain(
         model_cfg = initial.config
     else:
         params = init_params(model_cfg)
-    state = AdamState.for_params(params)  # params now name views of its arena
     provider = dataset if callable(dataset) else (lambda _epoch: dataset)
 
-    log: list[LogRow] = []
-    step = 0
-    for epoch in range(train_cfg.epochs):
+    def epoch_groups(epoch: int):
         examples = list(provider(epoch))
         masked = [e for e in examples if isinstance(e, PretrainExample)]
         swapped = [e for e in examples if isinstance(e, TirExample)]
+        return (masked, pretrain_batch), (swapped, tir_batch)
 
-        order_rng = util.rng_from(seed, "order", epoch)
-        # Accumulation groups of (micro-batch, its doc ids), per example kind.
-        streams: list[list[list[tuple[Batch, list[str]]]]] = []
-        for group, builder in ((masked, pretrain_batch), (swapped, tir_batch)):
-            if not group:
-                continue
-            idx = order_rng.permutation(len(group))
-            shuffled = [group[i] for i in idx]
-            micro = [(builder(c), [e.doc_id for e in c])
-                     for c in _chunks(shuffled, train_cfg.batch_size)]
-            streams.append(_chunks(micro, train_cfg.grad_accumulation))
-
-        drop_rng = util.rng_from(seed, "dropout", epoch)
-        n_steps = max((len(s) for s in streams), default=0)
-        for i in range(n_steps):
-            group = [m for s in streams if i < len(s) for m in s[i]]
-            try:
-                losses = _run_step(params, model_cfg, [b for b, _ in group],
-                                   train_cfg, state, drop_rng)
-            except NonFiniteGradient as exc:
-                docs = ", ".join(dict.fromkeys(d for _, ids in group for d in ids))
-                raise NonFiniteGradient(
-                    f"step {step + 1} (epoch {epoch}, docs {docs}): {exc}") from None
-            step += 1
-            for component in sorted(losses):
-                log.append((step, _component_name(component, train_cfg.objectives),
-                            losses[component]))
+    log = _train(params, model_cfg, train_cfg, seed, epoch_groups, name_docs=True)
     ckpt = EncoderCheckpoint(model_cfg, params, vocab.content_hash(), vocab)
     return ckpt, log
 
@@ -215,13 +240,11 @@ def labeled_input_ids(
 
     Without a paired document this is just the delimited text.
     """
-    first = vocab.encode(example.text, lowercase)
     if example.doc_text is None:
-        seq = [CLS, *first, SEP]
-    else:
-        stamp = vocab.encode(render(example.doc_timestamp), lowercase)
-        doc = vocab.encode(example.doc_text, lowercase)
-        seq = [CLS, *first, SEP, *stamp, *doc, SEP]
+        return text_input_ids(example.text, vocab, lowercase, max_len)
+    stamp = vocab.encode(render(example.doc_timestamp), lowercase)
+    doc = vocab.encode(example.doc_text, lowercase)
+    seq = [CLS, *vocab.encode(example.text, lowercase), SEP, *stamp, *doc, SEP]
     if max_len is not None and len(seq) > max_len:
         seq = seq[: max_len - 1] + [SEP]
     return tuple(seq)
@@ -264,36 +287,14 @@ def finetune(
         0.0, 0.02, size=(cfg.d_model, n_classes)
     ).astype(dtype)
     params["head.cls.b"] = np.zeros(n_classes, dtype=dtype)
-    state = AdamState.for_params(params)  # params now name views of its arena
-    log: list[LogRow] = []
-    step = 0
-    for epoch in range(train_cfg.epochs):
-        order = util.rng_from(seed, "order", epoch).permutation(len(records))
-        shuffled = [records[i] for i in order]
-        micro = []
-        for chunk in _chunks(shuffled, train_cfg.batch_size):
-            ids = _pad_rows([list(r[0]) for r in chunk], PAD)
-            labels = np.array([r[1] for r in chunk], dtype=np.int64)
-            micro.append(Batch(ids=ids, cls_labels=labels))
-        drop_rng = util.rng_from(seed, "dropout", epoch)
-        for group in _chunks(micro, train_cfg.grad_accumulation):
-            try:
-                losses = _run_step(params, cfg, group, train_cfg, state, drop_rng)
-            except NonFiniteGradient as exc:
-                raise NonFiniteGradient(f"step {step + 1} (epoch {epoch}): {exc}") from None
-            step += 1
-            for component in sorted(losses):
-                log.append((step, component, losses[component]))
+    log = _train(params, cfg, train_cfg, seed, lambda _epoch: ((records, cls_batch),))
     ckpt = EncoderCheckpoint(cfg, params, checkpoint.vocab_sha256, checkpoint.vocab)
     return ckpt, log
 
 
 def encode(checkpoint: EncoderCheckpoint, input_ids: Sequence[int]) -> np.ndarray:
     """Inference-mode hidden states for one sequence, shape (length, d_model)."""
-    ids = np.asarray(input_ids, dtype=np.int64)[None, :]
-    hidden, _ = encoder_forward(checkpoint.params, checkpoint.config, ids,
-                                keep_cache=False)
-    return hidden[0]
+    return encode_batch(checkpoint, [input_ids])[0]
 
 
 def encode_batch(
@@ -319,7 +320,7 @@ def _forward_chunks(
     (chunk, d_model) states at position 0 alone.
     """
     for chunk in _chunks(list(sequences), batch_size):
-        ids = _pad_rows([list(s) for s in chunk], PAD)
+        ids = _pad_rows(chunk, PAD)
         rows = np.arange(0, ids.size, ids.shape[1]) if first_only else None
         hidden, _ = encoder_forward(checkpoint.params, checkpoint.config, ids,
                                     rows=rows, keep_cache=False)

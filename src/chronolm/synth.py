@@ -11,8 +11,6 @@ the tagger without carrying label signal.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from . import util
 from .corpus import Document
 from .model.training import LabeledExample

@@ -420,11 +420,10 @@ class _Gates:
 
 _GATES = _Gates(_RULES)
 
-# A fixed anchor suffices to probe whether a match is a valid calendar form;
-# only absolute rules can fail on a valid-looking match, and their
-# resolvers ignore the anchor.
+# recognize probes every resolver at this anchor.  Absolute resolvers ignore
+# it and fail only on an invalid calendar form ("1999-02-30"); from it no
+# relative resolver leaves years 1-9999, because counts have at most 3 digits.
 _PROBE_ANCHOR = TimePoint(2000, 1, 1)
-_ABSOLUTE = {"iso_date", "month_day_year", "month_year", "bare_year"}
 
 
 def _spans(text: str) -> list[tuple[int, int, _Rule, re.Match]]:
@@ -457,8 +456,8 @@ def recognize(text: str) -> list[TemporalExpression]:
     """
     out = []
     for start, end, rule, m in _spans(text):
-        resolvable = rule.resolver is not None and (
-            rule.name not in _ABSOLUTE or rule.resolver(m, _PROBE_ANCHOR) is not None)
+        resolvable = (rule.resolver is not None
+                      and rule.resolver(m, _PROBE_ANCHOR) is not None)
         out.append(TemporalExpression(start, end, text[start:end], None, resolvable))
     return out
 

@@ -118,15 +118,21 @@ def test_build_vocab(workdir):
     assert len(tokens) == len(set(tokens))
 
 
-def test_build_dataset(workdir):
+@pytest.fixture(scope="module")
+def dataset(workdir, encoder):
+    """workdir's dataset.jsonl, built for tamlm,dtp,tir from the encoder's
+    tagged corpus and vocabulary."""
     rc = run("build-dataset", "--config", workdir / "run.cfg",
              "--tagged", workdir / "tagged.jsonl",
              "--vocab", workdir / "vocab.txt",
              "--objectives", "tamlm,dtp,tir",
              "--out", workdir / "dataset.jsonl")
     assert rc == 0
-    records = [json.loads(l) for l in
-               (workdir / "dataset.jsonl").read_text().splitlines()]
+    return workdir / "dataset.jsonl"
+
+
+def test_build_dataset(dataset):
+    records = [json.loads(l) for l in dataset.read_text().splitlines()]
     masked = [r for r in records if "mlm_labels" in r]
     tir = [r for r in records if "slots" in r]
     assert len(masked) == 32 and len(tir) == 32
@@ -137,9 +143,9 @@ def test_build_dataset(workdir):
             assert label in (0, 1)
 
 
-def test_pretrain_static_dataset(workdir):
+def test_pretrain_static_dataset(workdir, encoder, dataset):
     rc = run("pretrain", "--config", workdir / "run.cfg",
-             "--dataset", workdir / "dataset.jsonl",
+             "--dataset", dataset,
              "--vocab", workdir / "vocab.txt",
              "--objectives", "tamlm,dtp,tir",
              "--out", workdir / "static.ckpt")
@@ -180,9 +186,10 @@ BAD_DATASETS = {
 
 
 @pytest.mark.parametrize("case", sorted(BAD_DATASETS))
-def test_pretrain_rejects_bad_dataset_line(workdir, tmp_path, capsys, case):
+def test_pretrain_rejects_bad_dataset_line(workdir, encoder, dataset, tmp_path, capsys,
+                                           case):
     edit, needle = BAD_DATASETS[case]
-    lines = (workdir / "dataset.jsonl").read_text().splitlines()
+    lines = dataset.read_text().splitlines()
     masked = next(l for l in lines if "mlm_labels" in l)
     tir = next(l for l in lines if "slots" in l)
     bad = json.loads(masked if case != "slot-range" else tir)
@@ -200,9 +207,10 @@ def test_pretrain_rejects_bad_dataset_line(workdir, tmp_path, capsys, case):
     assert_one_error_line(rc, capsys, "bad.jsonl line 2", needle)
 
 
-def test_pretrain_rejects_timestamp_labels_without_dtp(workdir, tmp_path, capsys):
+def test_pretrain_rejects_timestamp_labels_without_dtp(workdir, encoder, dataset, tmp_path,
+                                                       capsys):
     rc = run("pretrain", "--config", workdir / "run.cfg",
-             "--dataset", workdir / "dataset.jsonl",
+             "--dataset", dataset,
              "--vocab", workdir / "vocab.txt",
              "--objectives", "tamlm",
              "--out", tmp_path / "bad.ckpt")
@@ -214,10 +222,10 @@ def test_pretrain_rejects_timestamp_labels_without_dtp(workdir, tmp_path, capsys
     ("dtp,tir", "masked labels"),
 ])
 def test_pretrain_rejects_examples_outside_objective_set(
-        workdir, tmp_path, capsys, objectives, needle):
+        workdir, encoder, dataset, tmp_path, capsys, objectives, needle):
     # dataset.jsonl was built for tamlm,dtp,tir.
     rc = run("pretrain", "--config", workdir / "run.cfg",
-             "--dataset", workdir / "dataset.jsonl",
+             "--dataset", dataset,
              "--vocab", workdir / "vocab.txt",
              "--objectives", objectives,
              "--out", tmp_path / "bad.ckpt")
@@ -226,7 +234,7 @@ def test_pretrain_rejects_examples_outside_objective_set(
 
 
 @pytest.mark.parametrize("command", ["build-dataset", "pretrain"])
-def test_unknown_objective_flag(workdir, tmp_path, capsys, command):
+def test_unknown_objective_flag(workdir, encoder, tmp_path, capsys, command):
     rc = run(command, "--config", workdir / "run.cfg",
              "--tagged", workdir / "tagged.jsonl",
              "--vocab", workdir / "vocab.txt",
@@ -256,7 +264,7 @@ def test_half_a_label_space_fails_at_load(tmp_path, capsys):
     assert_one_error_line(rc, capsys, f"{tmp_path / 'half.cfg'}: [labelspace] end: missing")
 
 
-def test_bad_model_section_fails_at_load(workdir, tmp_path, capsys):
+def test_bad_model_section_fails_at_load(workdir, encoder, tmp_path, capsys):
     (tmp_path / "bad.cfg").write_text("[model]\nd_model = 30\nn_heads = 4\n")
     rc = run("pretrain", "--config", tmp_path / "bad.cfg",
              "--tagged", workdir / "tagged.jsonl",
@@ -286,7 +294,7 @@ BAD_CONFIG_VALUES = {
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CONFIG_VALUES))
-def test_bad_config_value_is_one_error_line(case, workdir, tmp_path, capsys):
+def test_bad_config_value_is_one_error_line(case, workdir, encoder, tmp_path, capsys):
     body, (command, *flags), named = BAD_CONFIG_VALUES[case]
     config = tmp_path / "bad.cfg"
     config.write_text(body)
@@ -298,7 +306,7 @@ def test_bad_config_value_is_one_error_line(case, workdir, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_build_dataset_objectives_default_to_the_train_section(workdir, tmp_path):
+def test_build_dataset_objectives_default_to_the_train_section(workdir, encoder, tmp_path):
     config = tmp_path / "mlm.cfg"
     config.write_text(CONFIG.replace("objectives = tamlm,dtp", "objectives = mlm"))
     outputs = {}
@@ -334,7 +342,7 @@ BAD_TAGGED = {
 
 
 @pytest.mark.parametrize("case", sorted(BAD_TAGGED))
-def test_build_dataset_rejects_bad_tagged_line(workdir, tmp_path, capsys, case):
+def test_build_dataset_rejects_bad_tagged_line(workdir, encoder, tmp_path, capsys, case):
     edit, needle = BAD_TAGGED[case]
     good = _tagged_line(lambda e: None)
     (tmp_path / "bad.jsonl").write_text(f"{good}\n{_tagged_line(edit)}\n")
@@ -346,7 +354,8 @@ def test_build_dataset_rejects_bad_tagged_line(workdir, tmp_path, capsys, case):
     assert_one_error_line(rc, capsys, "bad.jsonl line 2", needle)
 
 
-def test_tagged_record_with_bad_timestamp_names_file_and_line(workdir, tmp_path, capsys):
+def test_tagged_record_with_bad_timestamp_names_file_and_line(workdir, encoder, tmp_path,
+                                                              capsys):
     good = _tagged_line(lambda e: None)
     bad = {**json.loads(good), "timestamp": "1990-13-01"}
     (tmp_path / "bad.jsonl").write_text(f"{good}\n{json.dumps(bad)}\n")
@@ -359,8 +368,8 @@ def test_tagged_record_with_bad_timestamp_names_file_and_line(workdir, tmp_path,
 
 
 @pytest.mark.parametrize("command", ["build-dataset", "pretrain"])
-def test_tagged_document_outside_the_label_space_is_named(workdir, tmp_path, capsys,
-                                                          command):
+def test_tagged_document_outside_the_label_space_is_named(workdir, encoder, tmp_path,
+                                                          capsys, command):
     good = _tagged_line(lambda e: None)
     late = {**json.loads(good), "id": "late", "timestamp": "1995-01-05"}
     (tmp_path / "late.jsonl").write_text(f"{good}\n{json.dumps(late)}\n")
@@ -373,7 +382,7 @@ def test_tagged_document_outside_the_label_space_is_named(workdir, tmp_path, cap
                           "1995-01 outside [1990-01, 1990-12]")
 
 
-def test_tag_at_the_calendar_edges_round_trips(workdir, tmp_path):
+def test_tag_at_the_calendar_edges_round_trips(workdir, encoder, tmp_path):
     # Shifts past years 1-9999 are tagged unresolvable, so the tagged file
     # loads again.
     write_jsonl(str(tmp_path / "edge.jsonl"), [
@@ -423,19 +432,31 @@ def test_pretrain_and_determinism(workdir, encoder):
     assert all(float(r["loss"]) > 0 for r in rows)
 
 
-def test_synth_events_and_finetune_eval(workdir, encoder):
+@pytest.fixture(scope="module")
+def events(workdir):
+    """workdir's events.jsonl: 40 year events in the year.cfg space."""
     rc = run("synth", "--events", "--n", 40, "--start", 1990, "--end", 1994,
              "--seed", 5, "--out", workdir / "events.jsonl")
     assert rc == 0
+    return workdir / "events.jsonl"
+
+
+@pytest.fixture(scope="module")
+def tuned(workdir, encoder, events):
+    """workdir's tuned.ckpt: the encoder fine-tuned on the events."""
     rc = run("finetune", "--config", workdir / "year.cfg",
              "--checkpoint", encoder,
-             "--train-data", workdir / "events.jsonl",
+             "--train-data", events,
              "--vocab", workdir / "vocab.txt",
              "--out", workdir / "tuned.ckpt")
     assert rc == 0
+    return workdir / "tuned.ckpt"
+
+
+def test_synth_events_and_finetune_eval(workdir, events, tuned):
     rc = run("eval", "--config", workdir / "year.cfg",
-             "--checkpoint", workdir / "tuned.ckpt",
-             "--data", workdir / "events.jsonl",
+             "--checkpoint", tuned,
+             "--data", events,
              "--vocab", workdir / "vocab.txt",
              "--name", "smoke", "--out", workdir / "results.csv")
     assert rc == 0
@@ -551,7 +572,7 @@ def test_probe_exits_cleanly_on_damaged_checkpoints(tiny_inputs, cut, flips):
         assert rc == 1 and len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
-def test_baseline(workdir):
+def test_baseline(workdir, events):
     rc = run("baseline", "--config", workdir / "year.cfg",
              "--data", workdir / "events.jsonl",
              "--trials", 200, "--out", workdir / "base.csv")
@@ -571,8 +592,8 @@ BAD_LABELED = {
 
 @pytest.mark.parametrize("case", sorted(BAD_LABELED))
 @pytest.mark.parametrize("command", ["baseline", "finetune"])
-def test_labeled_data_rejects_bad_record(workdir, encoder, tmp_path, capsys, command,
-                                        case):
+def test_labeled_data_rejects_bad_record(workdir, encoder, events, tmp_path, capsys,
+                                        command, case):
     bad_line, needle = BAD_LABELED[case]
     good = (workdir / "events.jsonl").read_text().splitlines()[0]
     (tmp_path / "bad.jsonl").write_text(f"{good}\n{bad_line}\n")
@@ -588,8 +609,8 @@ def test_labeled_data_rejects_bad_record(workdir, encoder, tmp_path, capsys, com
 
 
 @pytest.mark.parametrize("command", ["finetune", "eval", "ablate"])
-def test_labeled_event_outside_the_label_space_is_named(workdir, encoder, tmp_path,
-                                                        capsys, command):
+def test_labeled_event_outside_the_label_space_is_named(workdir, encoder, events, tuned,
+                                                        tmp_path, capsys, command):
     good = (workdir / "events.jsonl").read_text().splitlines()[0]
     (tmp_path / "old.jsonl").write_text(f'{good}\n{{"text": "long ago", "time": "1950"}}\n')
     config = workdir / "year.cfg"
@@ -607,7 +628,7 @@ def test_labeled_event_outside_the_label_space_is_named(workdir, encoder, tmp_pa
     assert_one_error_line(rc, capsys, "old.jsonl line 2", "1950 outside [1990, 1994]")
 
 
-def test_ablate_minimal(workdir):
+def test_ablate_minimal(workdir, encoder, events):
     events = [json.loads(l) for l in
               (workdir / "events.jsonl").read_text().splitlines()]
     write_jsonl(str(workdir / "ev-train.jsonl"), events[:20])
@@ -626,7 +647,7 @@ def test_ablate_minimal(workdir):
     assert {r["configuration"] for r in rows} == {"mlm", "tamlm+dtp"}
 
 
-def test_ablate_bad_combinations(workdir, tmp_path, capsys):
+def test_ablate_bad_combinations(workdir, encoder, events, tmp_path, capsys):
     rc = run("ablate", "--config", workdir / "run.cfg",
              "--tagged", workdir / "tagged.jsonl",
              "--vocab", workdir / "vocab.txt",
@@ -690,7 +711,7 @@ def test_unreadable_config_is_reported(case, tmp_path, capsys):
     assert_one_error_line(rc, capsys, f"{tmp_path / 'bad.cfg'}", needle)
 
 
-def test_vocabulary_without_special_tokens_is_reported(workdir, tmp_path, capsys):
+def test_vocabulary_without_special_tokens_is_reported(workdir, encoder, tmp_path, capsys):
     (tmp_path / "vocab.txt").write_text("the\nof\n")
     rc = run("build-dataset", "--config", workdir / "run.cfg",
              "--tagged", workdir / "tagged.jsonl",

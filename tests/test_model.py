@@ -567,6 +567,13 @@ def test_grad_check_mlm_only():
     assert err < 1e-4
 
 
+def test_grad_check_zero_layer_encoder():
+    # Embeddings straight into the final layer norm: the heads' rows are
+    # picked (and scattered back) outside the layer loop.
+    err = grad_check(config=dataclasses.replace(TINY_CONFIG, n_layers=0))
+    assert err < 1e-4
+
+
 # ------------------------------------------------------------------- AdamW
 
 def test_adamw_first_step_size():

@@ -200,6 +200,17 @@ def test_recognize_spans_index_source_text():
         assert text[e.start:e.end] == e.surface
 
 
+@pytest.mark.parametrize("text", [
+    "999 years ago", "in 999 years", "999 months ago", "in 999 weeks",
+    "twelve days ago", "last year", "next December", "Friday", "tomorrow",
+])
+def test_relative_spans_are_resolvable_without_an_anchor(text):
+    # recognize probes every resolver at one fixed anchor, from which no
+    # relative expression leaves years 1-9999.
+    expr, = recognize(text)
+    assert expr.resolvable
+
+
 def test_iso_date_formats():
     for text, expected in [
         ("2021-03-04", TimePoint(2021, 3, 4)),
