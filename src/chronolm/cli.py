@@ -524,11 +524,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         _COMMANDS[args.command](args, cfg)
-    except ChronoError as exc:
+    except (ChronoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # the last resort for a [model] too large
+        print(f"error: {args.command} ran out of memory. {exc}".strip(), file=sys.stderr)
         return 1
     return 0
 

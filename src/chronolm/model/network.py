@@ -23,10 +23,10 @@ Cross-entropy sums are returned unreduced together with their counts, so a
 caller can normalize over a whole gradient-accumulation group and make
 accumulated steps match concatenated-batch steps.
 
-Gradients are written in place into arrays the caller passes, named per
-parameter: in training, the views of one flat buffer (see optim.Arena), so
-no gradient is allocated per micro-batch and the optimizer reads them
-where they were written.  Without such arrays, fresh ones are made.
+Gradients are added into arrays the caller passes, named per parameter, so
+those hold running sums; in training they are the views of one flat buffer
+(see optim.Arena) that every micro-batch of a step adds into.  Each gradient
+is formed whole before it is added.  Without such arrays, zeros are made.
 """
 
 from __future__ import annotations
@@ -314,16 +314,16 @@ def encoder_backward(
 
     dh has the shape of the forward's hidden states: (batch, length,
     d_model), or (len(rows), d_model) for a forward over rows.  Neither it
-    nor the cache is modified.  Each encoder gradient is written into
-    out's array of that name (fresh arrays without out), and the returned
-    dict names those arrays.
+    nor the cache is modified.  Each encoder gradient is added into out's
+    array of that name (fresh zero arrays without out), so out holds
+    running sums; the returned dict names those arrays.
     """
     if cache.ln_f is None:
         raise ValueError("encoder_backward needs the cache of a forward "
                          "run with keep_cache=True")
     dtype = params["emb.tok"].dtype
     if out is None:
-        out = {name: np.empty_like(p) for name, p in params.items()
+        out = {name: np.zeros_like(p) for name, p in params.items()
                if not name.startswith("head.")}
     grads: dict[str, np.ndarray] = {}
     B, L = cache.ids.shape
@@ -336,16 +336,18 @@ def encoder_backward(
         # (B, nh, L, dh) -> (N, D)
         return x.transpose(0, 2, 1, 3).reshape(N, D)
 
+    def add(name: str, g: np.ndarray) -> None:
+        grads[name] = np.add(out[name], g, out=out[name])
+
     def linear(w: str, b: str, x: np.ndarray, dy: np.ndarray) -> None:
         # A dense layer's weight and bias gradients: x.T @ dy, dy.sum(axis=0)
-        grads[w] = np.matmul(x.T, dy, out=out[w])
-        grads[b] = np.add.reduce(dy, axis=0, out=out[b])
+        add(w, x.T @ dy)
+        add(b, np.add.reduce(dy, axis=0))
 
     def norm(prefix: str, dx: np.ndarray, dg: np.ndarray, db: np.ndarray) -> np.ndarray:
-        # A layer norm's gain and offset gradients, copied into out; dx back
-        for name, g in ((prefix + ".g", dg), (prefix + ".b", db)):
-            grads[name] = out[name]
-            grads[name][...] = g
+        # A layer norm's gain and offset gradients, added into out; dx back
+        add(prefix + ".g", dg)
+        add(prefix + ".b", db)
         return dx
 
     # dstream is a fresh buffer from here on, so it is updated in place.
@@ -396,16 +398,15 @@ def encoder_backward(
     if cache.emb_drop is not None:
         dstream *= cache.emb_drop
 
-    pos = grads["emb.pos"] = out["emb.pos"]
-    pos[L:] = 0
-    np.add.reduce(dstream.reshape(B, L, D), axis=0, out=pos[:L])
+    grads["emb.pos"] = out["emb.pos"]
+    out["emb.pos"][:L] += np.add.reduce(dstream.reshape(B, L, D), axis=0)
     # emb.tok rows gather repeated ids, so the scatter adds with np.add.at,
     # which takes each row in order; on flat element indices it runs a
-    # one-dimensional loop.
-    tok = grads["emb.tok"] = out["emb.tok"]
-    tok[...] = 0
+    # one-dimensional loop.  It fills zeros, so the gradient is whole when added.
+    tok = np.zeros_like(out["emb.tok"])
     flat = cache.ids.reshape(N, 1) * D + np.arange(D)
     np.add.at(tok.reshape(-1), flat.reshape(-1), dstream.reshape(-1))
+    add("emb.tok", tok)
     return grads
 
 
@@ -493,8 +494,8 @@ def batch_losses(
     (cross-entropy sum, item count) pair.  Gradients are of the quantity
     sum(component sums / denoms[component]); denoms defaults to this
     batch's own counts, which yields plain mean losses.  grads names every
-    parameter: each gradient is written into out's array of that name
-    (fresh arrays without out), and heads absent from the batch get zeros.
+    parameter: each gradient is added into out's array of that name (fresh
+    zeros without out), so out holds running sums; absent heads add nothing.
     items is the batch's head_items, for a caller that has them already.
 
     The encoder computes only the hidden rows some head reads: the union
@@ -514,7 +515,7 @@ def batch_losses(
     if want_grads:
         dh = np.zeros_like(hidden)
         if out is None:
-            out = {name: np.empty_like(p) for name, p in params.items()}
+            out = {name: np.zeros_like(p) for name, p in params.items()}
     grads: dict[str, np.ndarray] = {}
     d = cfg.d_model
     start = 0
@@ -530,8 +531,8 @@ def batch_losses(
         if want_grads:
             dlogits = dlogits.astype(hidden.dtype) / hidden.dtype.type(denoms[name])
             gw, gb = f"head.{name}.w", f"head.{name}.b"
-            grads[gw] = np.matmul(feats.T, dlogits, out=out[gw])
-            grads[gb] = np.add.reduce(dlogits, axis=0, out=out[gb])
+            grads[gw] = np.add(out[gw], feats.T @ dlogits, out=out[gw])
+            grads[gb] = np.add(out[gb], np.add.reduce(dlogits, axis=0), out=out[gb])
             dfeats = dlogits @ w.T
             for j, r in enumerate(head_rows):
                 if name == "tir":
@@ -542,9 +543,6 @@ def batch_losses(
 
     if want_grads:
         grads.update(encoder_backward(params, cfg, cache, dh, out))
-        # Heads absent from this batch contribute zero gradient.
-        for name in params:
-            if name not in grads:
-                grads[name] = out[name]
-                grads[name][...] = 0
+        for name in params:  # heads absent from this batch, last
+            grads.setdefault(name, out[name])
     return parts, grads

@@ -17,26 +17,26 @@ from ..errors import NonFiniteGradient
 from .config import TrainConfig
 
 # Elements per AdamW block: the six block-sized operands (parameter,
-# gradient, two moments, two scratch arrays) stay in a core's L2 cache.
+# gradient, two moments, two temporaries) stay in a core's L2 cache.
 BLOCK = 16384
 
 
 class Arena:
-    """A model's training buffers, each flat: parameters, gradient, the two
-    AdamW moments, and a scratch gradient for accumulation.
+    """A model's training buffers, each flat: parameters, gradient and the
+    two AdamW moments.
 
     Building the arena copies every tensor of the params dict into the flat
     parameter buffer and rebinds the dict's values to views of it, so the
-    dict still names every tensor.  grad_views and scratch_views name the
-    same regions of the gradient and scratch buffers.
+    dict still names every tensor.  grad_views names the same regions of
+    the gradient buffer, into which every micro-batch of a step adds.
 
-    The five buffers are rows of one allocation.  On glibc, releasing a
+    The four buffers are rows of one allocation.  On glibc, releasing a
     block that large raises the allocator's heap-trim threshold above a
     training step's working set, so later steps and calls reuse heap pages
-    instead of faulting them in again.  With five separate buffers, a
-    pretrain call of the benchmark's pretrain workload took about 89k
-    minor page faults in a warm process, against 4k for per-tensor arrays
-    and 0.2k for one block.
+    instead of faulting them in again.  With separate buffers, a pretrain
+    call of the benchmark's pretrain workload took about 89k minor page
+    faults in a warm process, against 4k for per-tensor arrays and 0.2k
+    for one block.
     """
 
     def __init__(self, params: dict[str, np.ndarray]):
@@ -47,15 +47,14 @@ class Arena:
         self.starts = [0]
         for p in params.values():
             self.starts.append(self.starts[-1] + p.size)
-        block = np.empty((5, self.starts[-1]), dtype=dtypes.pop())
-        block[1:4] = 0
-        self.params, self.grads, self.m, self.v, self.scratch = block
+        block = np.empty((4, self.starts[-1]), dtype=dtypes.pop())
+        block[1:] = 0
+        self.params, self.grads, self.m, self.v = block
         self.param_views = self.views(self.params)
         for name, view in self.param_views.items():
             view[...] = params[name]
             params[name] = view
         self.grad_views = self.views(self.grads)
-        self.scratch_views = self.views(self.scratch)
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Named views of a flat buffer laid out like the parameters."""

@@ -7,10 +7,10 @@ groups: each micro-batch backpropagates component sums divided by the
 group's total item counts, so an accumulated step equals the step a single
 concatenated batch would have taken.
 
-The loop trains in the optimizer's arena (optim.Arena): the first
-micro-batch of a group writes its gradients straight into the arena's flat
-gradient buffer, and each later one into a scratch buffer that is then
-added in with one flat sum.  Every inference forward runs in _forward_chunks.
+The loop trains in the optimizer's arena (optim.Arena): each step zeroes
+its flat gradient buffer once, and every micro-batch adds into it.  A
+group's batches are built when its step runs.  Every inference forward
+runs in _forward_chunks.
 """
 
 from __future__ import annotations
@@ -106,21 +106,18 @@ def _run_step(
             denoms[name] = denoms.get(name, 0.0) + len(labels)
 
     totals: dict[str, float] = {}
-    arena = state.arena
-    accum: Optional[dict[str, np.ndarray]] = None
+    state.arena.grads[...] = 0
+    first: Optional[dict[str, np.ndarray]] = None
     for b, batch_items in zip(micro_batches, items):
-        out = arena.grad_views if accum is None else arena.scratch_views
         parts, grads = batch_losses(
-            params, cfg, b, denoms=dict(denoms),
-            train=True, rng=rng, want_grads=True, out=out, items=batch_items,
+            params, cfg, b, denoms=dict(denoms), train=True, rng=rng,
+            want_grads=True, out=state.arena.grad_views, items=batch_items,
         )
         for k, (ce_sum, _) in parts.items():
             totals[k] = totals.get(k, 0.0) + ce_sum
-        if accum is None:
-            accum = grads
-        else:
-            arena.grads += arena.scratch
-    adamw_step(params, accum, state, train_cfg)
+        first = first or grads
+    # The first micro-batch's dict sets the order a NonFiniteGradient searches.
+    adamw_step(params, first, state, train_cfg)
     return {k: totals[k] / denoms[k] for k in totals}
 
 
@@ -140,21 +137,21 @@ def _train(
     step = 0
     for epoch in range(train_cfg.epochs):
         order_rng = util.rng_from(seed, "order", epoch)
-        # Accumulation groups of (micro-batch, its examples), per example group.
-        streams: list[list[list[tuple[Batch, Sequence]]]] = []
+        # Accumulation groups of (batch builder, examples), built when their step runs.
+        streams: list[list[list[tuple[Callable[[Sequence], Batch], Sequence]]]] = []
         for examples, builder in epoch_groups(epoch):
             if not examples:
                 continue
             idx = order_rng.permutation(len(examples))
             shuffled = [examples[i] for i in idx]
-            micro = [(builder(c), c) for c in _chunks(shuffled, train_cfg.batch_size)]
+            micro = [(builder, c) for c in _chunks(shuffled, train_cfg.batch_size)]
             streams.append(_chunks(micro, train_cfg.grad_accumulation))
 
         drop_rng = util.rng_from(seed, "dropout", epoch)
         for i in range(max((len(s) for s in streams), default=0)):
             group = [m for s in streams if i < len(s) for m in s[i]]
             try:
-                losses = _run_step(params, cfg, [b for b, _ in group],
+                losses = _run_step(params, cfg, [build(c) for build, c in group],
                                    train_cfg, state, drop_rng)
             except NonFiniteGradient as exc:
                 where = f"epoch {epoch}"

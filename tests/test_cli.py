@@ -207,6 +207,23 @@ def test_pretrain_rejects_bad_dataset_line(workdir, encoder, dataset, tmp_path, 
     assert_one_error_line(rc, capsys, "bad.jsonl line 2", needle)
 
 
+def test_out_of_memory_is_one_error_line(workdir, dataset, tmp_path, capsys,
+                                        monkeypatch):
+    def too_big(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+    # Stands in for a [model] too large for the machine; nothing big is
+    # allocated.
+    monkeypatch.setattr(chronolm.cli, "pretrain", too_big)
+    rc = run("pretrain", "--config", workdir / "run.cfg",
+             "--dataset", dataset,
+             "--vocab", workdir / "vocab.txt",
+             "--objectives", "tamlm,dtp,tir",
+             "--out", tmp_path / "big.ckpt")
+    assert_one_error_line(rc, capsys, "pretrain ran out of memory", "8.00 TiB")
+    assert not (tmp_path / "big.ckpt").exists()
+
+
 def test_pretrain_rejects_timestamp_labels_without_dtp(workdir, encoder, dataset, tmp_path,
                                                        capsys):
     rc = run("pretrain", "--config", workdir / "run.cfg",

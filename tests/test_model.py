@@ -58,6 +58,7 @@ from chronolm.objectives import (
     IGNORE_INDEX,
     LabelSpace,
     Objective,
+    PretrainExample,
     build_labelspace,
 )
 from chronolm.temporal import Granularity, TimePoint
@@ -451,6 +452,25 @@ def test_batch_without_head_items_gives_zero_gradients():
             assert np.array_equal(g, want[name]), name
 
 
+def test_batch_losses_adds_into_out():
+    # out holds running sums: a second call into the same arrays doubles
+    # every gradient, and the heads the batch lacks keep their zeros.
+    cfg = small_config(k_cls=6)
+    params = init_params(cfg, dtype=np.float64)
+    batch = _random_head_batches(cfg, rng_from(3, "heads"))[0]
+    _, once = batch_losses(params, cfg, batch)
+    out = {name: np.zeros_like(p) for name, p in params.items()}
+    for _ in range(2):
+        _, grads = batch_losses(params, cfg, batch, out=out)
+    assert grads.keys() == params.keys()
+    assert all(grads[name] is out[name] for name in params)
+    for name in params:
+        assert np.array_equal(out[name], 2 * once[name]), name
+    assert out["head.mlm.w"].any() and out["head.dtp.w"].any()
+    absent = [name for name in params if name.startswith(("head.tir", "head.cls"))]
+    assert absent and not any(out[name].any() for name in absent)
+
+
 def test_classify_matches_full_forward_argmax():
     vocab, _ = tiny_vocab_and_examples()
     cfg = ModelConfig(vocab_size=vocab.size, max_len=8, d_model=16,
@@ -783,7 +803,6 @@ def test_checkpoint_reports_the_first_bad_tensor(tmp_path):
 
 def tiny_vocab_and_examples():
     vocab = make_vocab(11)
-    from chronolm.objectives import PretrainExample
     examples = []
     for i in range(8):
         ids = (CLS, 5 + i % 4, MASK, 7, SEP)
@@ -807,6 +826,29 @@ def test_pretrain_runs_and_logs():
     names = {row[1] for row in log}
     assert names == {"tamlm", "dtp"}
     assert all(np.isfinite(row[2]) for row in log)
+
+
+def test_pretrain_peak_memory_in_parameter_rows():
+    # The parameters dominate: the peak is the arena's four rows (parameters,
+    # gradient, two moments) plus the initial parameters copied into them.
+    vocab = make_vocab(20_000 - len(SPECIAL_TOKENS))
+    cfg = ModelConfig(vocab_size=vocab.size, max_len=8, d_model=64,
+                      n_layers=1, n_heads=2, d_ff=128, seed=0)
+    examples = [PretrainExample(f"d{i}", (CLS, 5 + i, MASK, 7, SEP),
+                                (IGNORE_INDEX, IGNORE_INDEX, 6, IGNORE_INDEX,
+                                 IGNORE_INDEX))
+                for i in range(4)]
+    train_cfg = TrainConfig(learning_rate=1e-3, batch_size=1,
+                            grad_accumulation=2, epochs=1,
+                            objectives=frozenset({Objective.MLM}))
+    tracemalloc.start()
+    try:
+        pretrain(examples, vocab, cfg, train_cfg, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row = parameter_count(cfg) * np.dtype(np.float32).itemsize
+    assert peak < 5.5 * row
 
 
 def test_pretrain_zero_epochs_copies_initialization():

@@ -152,7 +152,7 @@ def test_finetune_matches_per_tensor_loop(corpus, monkeypatch, accumulation,
 def test_non_finite_gradient_names_the_same_tensor(corpus, monkeypatch, head):
     # An infinite weight in the timestamp head spoils the first micro-batch
     # of a group; one in the replacement head spoils only a later one, which
-    # is summed in from the scratch buffer.
+    # adds into the gradient row after the first.
     space, vocab, tagged = corpus
     objectives = frozenset(OBJECTIVE_SETS["tamlm,dtp,tir"])
     cfg = model_config(vocab, space)
