@@ -50,7 +50,7 @@ for name in ("tamlm", "dtp"):
 # fine-tune a year classifier on synthetic one-line events, then rank
 years = build_labelspace(TimePoint(1990), TimePoint(1991), Granularity.YEAR)
 events = synth_events(60, years, noise=0.0, seed=1)
-records = prepare_labeled(events, years, vocab, False, model_cfg.max_len)
+records = prepare_labeled(events, years, vocab, model_cfg.max_len)
 tuned, _ = finetune(ckpt, records, years.size,
                     TrainConfig(learning_rate=1e-3, batch_size=16, epochs=8,
                                 objectives=frozenset()), seed=0)

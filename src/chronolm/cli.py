@@ -138,6 +138,11 @@ def _need(args: argparse.Namespace, cfg: RunConfig, flag: str) -> str:
     return value
 
 
+def _vocab(args: argparse.Namespace, cfg: RunConfig) -> Vocab:
+    """The --vocab file, read under the configured case rule."""
+    return Vocab.load(_need(args, cfg, "vocab"), cfg.lowercase)
+
+
 def _space_or_fail(cfg: RunConfig) -> LabelSpace:
     space = cfg.label_space
     if space is None:
@@ -178,7 +183,6 @@ def _provider(args, cfg: RunConfig, vocab: Vocab, objectives, space):
             tagged, vocab, objectives, space,
             masking=cfg.masking,
             seed=cfg.seed,
-            lowercase=cfg.lowercase,
             max_len=cfg.model_config(vocab.size).max_len,
         )
     except (AlignmentError, OutOfLabelSpace) as exc:
@@ -194,7 +198,7 @@ def _objectives(args, cfg: RunConfig) -> frozenset[Objective]:
 
 def cmd_build_dataset(args, cfg: RunConfig) -> None:
     out = _need(args, cfg, "out")
-    vocab = Vocab.load(_need(args, cfg, "vocab"))
+    vocab = _vocab(args, cfg)
     objectives = _objectives(args, cfg)
     space = _space_or_fail(cfg) if Objective.DTP in objectives else cfg.label_space
     provider = _provider(args, cfg, vocab, objectives, space)
@@ -244,7 +248,7 @@ def _load_dataset(path: str, vocab: Vocab, objectives: frozenset[Objective],
 
 def cmd_pretrain(args, cfg: RunConfig) -> None:
     out = _need(args, cfg, "out")
-    vocab = Vocab.load(_need(args, cfg, "vocab"))
+    vocab = _vocab(args, cfg)
     train_cfg = dataclasses.replace(cfg.train, objectives=_objectives(args, cfg))
     k_dtp = None
     if Objective.DTP in train_cfg.objectives:
@@ -263,12 +267,11 @@ def cmd_pretrain(args, cfg: RunConfig) -> None:
 
 def cmd_finetune(args, cfg: RunConfig) -> None:
     out = _need(args, cfg, "out")
-    vocab = Vocab.load(_need(args, cfg, "vocab"))
+    vocab = _vocab(args, cfg)
     space = _space_or_fail(cfg)
     ckpt = load_checkpoint(_need(args, cfg, "checkpoint"), vocab=vocab)
     examples = _load_labeled(_need(args, cfg, "train-data"), space)
-    records = prepare_labeled(examples, space, vocab, cfg.lowercase,
-                              ckpt.config.max_len)
+    records = prepare_labeled(examples, space, vocab, ckpt.config.max_len)
     tuned, log = finetune(ckpt, records, space.size, cfg.finetune, seed=cfg.seed)
     save_checkpoint(tuned, out)
     if args.loss_log:
@@ -297,12 +300,11 @@ def cmd_eval(args, cfg: RunConfig) -> None:
             raise MalformedRecord(f"{args.predictions}: no prediction records")
         default = min(p.granularity for p in predictions)
     else:
-        vocab = Vocab.load(_need(args, cfg, "vocab"))
+        vocab = _vocab(args, cfg)
         space = _space_or_fail(cfg)
         ckpt = load_checkpoint(_need(args, cfg, "checkpoint"), vocab=vocab)
         examples = _load_labeled(_need(args, cfg, "data"), space)
-        records = prepare_labeled(examples, space, vocab, cfg.lowercase,
-                                  ckpt.config.max_len)
+        records = prepare_labeled(examples, space, vocab, ckpt.config.max_len)
         picks = classify(ckpt, [ids for ids, _ in records])
         predictions = predictions_from_picks(picks, examples, space)
         default = space.granularity
@@ -315,10 +317,10 @@ def cmd_eval(args, cfg: RunConfig) -> None:
 
 def cmd_probe(args, cfg: RunConfig) -> None:
     out = _need(args, cfg, "out")
-    vocab = Vocab.load(_need(args, cfg, "vocab"))
+    vocab = _vocab(args, cfg)
     space = _space_or_fail(cfg)
     ckpt = load_checkpoint(_need(args, cfg, "checkpoint"), vocab=vocab)
-    ranked = similarity_rank(ckpt, args.query, space, lowercase=cfg.lowercase)
+    ranked = similarity_rank(ckpt, args.query, space)
     rows = [
         (rank, point.isoformat(), f"{score:.6f}")
         for rank, (point, score) in enumerate(ranked.ranking, start=1)
@@ -364,7 +366,10 @@ def cmd_synth(args, cfg: RunConfig) -> None:
 
 def cmd_ablate(args, cfg: RunConfig) -> None:
     out = _need(args, cfg, "out")
-    vocab = Vocab.load(_need(args, cfg, "vocab"))
+    if bool(args.eval_start) != bool(args.eval_end):
+        missing = "--eval-end" if args.eval_start else "--eval-start"
+        raise MalformedRecord(f"missing {missing}: --eval-start and --eval-end go together")
+    vocab = _vocab(args, cfg)
     space = _space_or_fail(cfg)
     tagged = list(load_tagged(_need(args, cfg, "tagged")))
     eval_space = space
@@ -396,7 +401,6 @@ def cmd_ablate(args, cfg: RunConfig) -> None:
         combinations=combos,
         seed=cfg.seed,
         masking=cfg.masking,
-        lowercase=cfg.lowercase,
     )
     _write_csv(
         out,

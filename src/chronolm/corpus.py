@@ -66,9 +66,10 @@ def word_forms(text: str, lowercase: bool = False) -> list[str]:
 
 
 class Vocab:
-    """Dense token-to-id table with five fixed special tokens up front."""
+    """Dense token-to-id table, five fixed special tokens up front.  Texts are
+    read under its case rule: with lowercase, every key is lowercased."""
 
-    def __init__(self, tokens: Sequence[str]):
+    def __init__(self, tokens: Sequence[str], lowercase: bool = False):
         tokens = tuple(tokens)
         if tokens[: len(SPECIAL_TOKENS)] != SPECIAL_TOKENS:
             raise ValueError("vocabulary must start with the special tokens")
@@ -76,7 +77,13 @@ class Vocab:
             raise ValueError("vocabulary tokens must be unique")
         if any("\n" in t or t == "" for t in tokens):
             raise ValueError("tokens must be non-empty and newline-free")
+        if lowercase:
+            for t in tokens[len(SPECIAL_TOKENS):]:
+                if t != t.lower():
+                    raise ValueError(f"token {t!r} is cased, but lowercase is on: build "
+                                     "the vocabulary under the same [tokenizer] lowercase")
         self.tokens = tokens
+        self.lowercase = lowercase
         self._ids = {t: i for i, t in enumerate(tokens)}
 
     @property
@@ -86,9 +93,9 @@ class Vocab:
     def id_of(self, token: str) -> int:
         return self._ids.get(token, UNK)
 
-    def encode(self, text: str, lowercase: bool = False) -> list[int]:
-        """Ids of the text's word_forms."""
-        return list(map(self._ids.get, word_forms(text, lowercase), repeat(UNK)))
+    def encode(self, text: str) -> list[int]:
+        """Ids of the text's word_forms under the vocabulary's case rule."""
+        return list(map(self._ids.get, word_forms(text, self.lowercase), repeat(UNK)))
 
     def token_of(self, token_id: int) -> str:
         return self.tokens[token_id]
@@ -103,11 +110,11 @@ class Vocab:
         util.atomic_write_text(path, "\n".join(self.tokens) + "\n")
 
     @classmethod
-    def load(cls, path: str) -> "Vocab":
+    def load(cls, path: str, lowercase: bool = False) -> "Vocab":
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
-            return cls(tokens)
+            return cls(tokens, lowercase)
         except ValueError as exc:  # also a file that is not UTF-8
             raise MalformedRecord(f"{path}: {exc}") from None
 
@@ -209,7 +216,7 @@ def build_vocab(
         key=lambda t: (-counts[t], t),
     )
     room = max_size - len(SPECIAL_TOKENS)
-    return Vocab(SPECIAL_TOKENS + tuple(ranked[:room]))
+    return Vocab(SPECIAL_TOKENS + tuple(ranked[:room]), lowercase)
 
 
 @dataclass(frozen=True)
@@ -242,10 +249,9 @@ def tokenize(
     doc: Document,
     vocab: Vocab,
     expressions: Sequence[TemporalExpression],
-    lowercase: bool = False,
     max_len: Optional[int] = None,
 ) -> TokenizedDoc:
-    """Tokenize a document and align its expressions to token ranges.
+    """Tokenize under vocab's case rule and align expressions to token ranges.
 
     When max_len is given, tokens beyond max_len - 2 are cut (leaving room
     for the sequence delimiters added downstream) and groups wholly or
@@ -259,7 +265,7 @@ def tokenize(
             raise ValueError("max_len must be at least 3")
         kept = min(kept, max_len - 2)
     forms = map(re.Match.group, matches[:kept])
-    if lowercase:
+    if vocab.lowercase:
         forms = map(str.lower, forms)
     starts = list(map(re.Match.start, matches))
     ends = list(map(re.Match.end, matches))

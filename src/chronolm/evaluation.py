@@ -93,13 +93,11 @@ def random_guess(
 def probe_representation(
     checkpoint: EncoderCheckpoint,
     text: str,
-    lowercase: bool = False,
 ) -> np.ndarray:
     """Inference-mode first-position state for a delimited text."""
     if checkpoint.vocab is None:
         raise ValueError("checkpoint carries no vocabulary")
-    ids = text_input_ids(text, checkpoint.vocab, lowercase,
-                         checkpoint.config.max_len)
+    ids = text_input_ids(text, checkpoint.vocab, checkpoint.config.max_len)
     return encode(checkpoint, ids)[0]
 
 
@@ -137,18 +135,17 @@ def similarity_rank(
     query: str,
     space: LabelSpace,
     relevant: Iterable[TimePoint] = (),
-    lowercase: bool = False,
 ) -> RankedDates:
     """Rank every point of a label space by cosine to the query's state.
 
     Candidates are embedded from their rendered surface forms.  Ties break
     toward the earlier point; zero-norm vectors rank last.
     """
-    qvec = probe_representation(checkpoint, query, lowercase)
+    qvec = probe_representation(checkpoint, query)
     scored: list[tuple[float, int, TimePoint, float]] = []
     zeros: list[TimePoint] = []
     for index, point in enumerate(space.points()):
-        cvec = probe_representation(checkpoint, render(point), lowercase)
+        cvec = probe_representation(checkpoint, render(point))
         cos = _cosine(qvec, cvec)
         if cos is None:
             zeros.append(point)
@@ -233,7 +230,6 @@ def run_ablation(
     combinations: Sequence[frozenset[Objective]] = DEFAULT_ABLATION,
     seed: int = 0,
     masking: Masking = Masking(),
-    lowercase: bool = False,
 ) -> list[AblationRow]:
     """Pretrain one model per objective combination and evaluate each.
 
@@ -246,7 +242,6 @@ def run_ablation(
             tagged, vocab, combo, space,
             masking=masking,
             seed=seed,
-            lowercase=lowercase,
             max_len=model_cfg.max_len,
         )
         cfg = dc_replace(model_cfg, k_dtp=space.size if space is not None else None)
@@ -260,9 +255,9 @@ def run_ablation(
         name = format_objectives(combo)
         for eval_set in eval_sets:
             train_records = prepare_labeled(
-                eval_set.train, eval_set.space, vocab, lowercase, cfg.max_len)
+                eval_set.train, eval_set.space, vocab, cfg.max_len)
             test_records = prepare_labeled(
-                eval_set.test, eval_set.space, vocab, lowercase, cfg.max_len)
+                eval_set.test, eval_set.space, vocab, cfg.max_len)
             tuned, _ = finetune(ckpt, train_records, eval_set.space.size,
                                 finetune_cfg, seed=seed)
             picks = classify(tuned, [ids for ids, _ in test_records])

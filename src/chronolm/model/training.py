@@ -217,11 +217,10 @@ class LabeledExample:
 def text_input_ids(
     text: str,
     vocab: Vocab,
-    lowercase: bool = False,
     max_len: Optional[int] = None,
 ) -> tuple[int, ...]:
     """[CLS] text [SEP], truncated to max_len."""
-    ids = vocab.encode(text, lowercase)
+    ids = vocab.encode(text)
     if max_len is not None:
         ids = ids[: max_len - 2]
     return (CLS, *ids, SEP)
@@ -230,7 +229,6 @@ def text_input_ids(
 def labeled_input_ids(
     example: LabeledExample,
     vocab: Vocab,
-    lowercase: bool = False,
     max_len: Optional[int] = None,
 ) -> tuple[int, ...]:
     """Assemble [CLS] text [SEP] (rendered timestamp + document) [SEP].
@@ -238,10 +236,10 @@ def labeled_input_ids(
     Without a paired document this is just the delimited text.
     """
     if example.doc_text is None:
-        return text_input_ids(example.text, vocab, lowercase, max_len)
-    stamp = vocab.encode(render(example.doc_timestamp), lowercase)
-    doc = vocab.encode(example.doc_text, lowercase)
-    seq = [CLS, *vocab.encode(example.text, lowercase), SEP, *stamp, *doc, SEP]
+        return text_input_ids(example.text, vocab, max_len)
+    stamp = vocab.encode(render(example.doc_timestamp))
+    doc = vocab.encode(example.doc_text)
+    seq = [CLS, *vocab.encode(example.text), SEP, *stamp, *doc, SEP]
     if max_len is not None and len(seq) > max_len:
         seq = seq[: max_len - 1] + [SEP]
     return tuple(seq)
@@ -251,11 +249,10 @@ def prepare_labeled(
     examples: Iterable[LabeledExample],
     space: LabelSpace,
     vocab: Vocab,
-    lowercase: bool = False,
     max_len: Optional[int] = None,
 ) -> list[tuple[tuple[int, ...], int]]:
     index = util.Memo(space.index_of)  # each distinct time is looked up once
-    return [(labeled_input_ids(e, vocab, lowercase, max_len), index[e.time])
+    return [(labeled_input_ids(e, vocab, max_len), index[e.time])
             for e in examples]
 
 

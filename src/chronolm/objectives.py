@@ -355,9 +355,9 @@ def build_pretrain_example(
     return apply_plan(tokdoc, plan, vocab, rng, label)
 
 
-def _encodings(vocab: Vocab, lowercase: bool) -> Mapping[str, tuple[int, ...]]:
-    """text -> vocab.encode(text, lowercase), each text encoded once."""
-    return util.Memo(lambda text: tuple(vocab.encode(text, lowercase)))
+def _encodings(vocab: Vocab) -> Mapping[str, tuple[int, ...]]:
+    """text -> vocab.encode(text), each text encoded once."""
+    return util.Memo(lambda text: tuple(vocab.encode(text)))
 
 
 @dataclass(frozen=True)
@@ -464,6 +464,10 @@ class TirExample:
     slots: tuple[TirSlot, ...]
     forced_kept: tuple[int, ...] = ()
 
+    def __post_init__(self) -> None:
+        if not self.input_ids or self.input_ids[0] != CLS or self.input_ids[-1] != SEP:
+            raise ValueError("sequence must be delimited")
+
 
 def build_tir(
     doc: Document,
@@ -473,7 +477,6 @@ def build_tir(
     vocab: Vocab,
     seed: int,
     epoch: int = 0,
-    lowercase: bool = False,
     max_len: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
     encoded: Optional[Mapping[str, Sequence[int]]] = None,
@@ -487,14 +490,14 @@ def build_tir(
     previous one (no boundary token between them) produce no slot.  rng,
     when given, stands for the document's stream
     rng_from(seed, doc.id, epoch, "tir"), and encoded[text] for
-    vocab.encode(text, lowercase).
+    vocab.encode(text).
     """
     if not 0.0 <= replace_prob <= 1.0:
         raise ValueError("replace_prob must lie in [0, 1]")
     if rng is None:
         rng = util.rng_from(seed, doc.id, epoch, "tir")
     if encoded is None:
-        encoded = _encodings(vocab, lowercase)
+        encoded = _encodings(vocab)
 
     token_ids = tokdoc.token_ids
     seq: list[int] = [CLS, *encoded[render(doc.timestamp)], SEP]
@@ -567,21 +570,23 @@ def _ints(values) -> tuple[int, ...]:
 def example_from_json(obj: dict) -> PretrainExample | TirExample:
     """Rebuild an example from its JSON form.
 
-    Raises ValueError for a missing key, a non-integer id or label, labels
-    that do not align with the ids, or a slot outside the sequence.
+    Raises ValueError for a missing key, a doc_id that is not a non-empty
+    string, a non-integer id or label, labels that do not align with the
+    ids, or a slot outside the sequence.
     """
     try:
-        ids = _ints(obj["input_ids"])
+        doc_id, ids = obj["doc_id"], _ints(obj["input_ids"])
+        if not isinstance(doc_id, str) or not doc_id:
+            raise ValueError(f"doc_id must be a non-empty string, not {doc_id!r}")
         if "slots" in obj:
             slots = tuple(TirSlot(*_ints(s)) for s in obj["slots"])
             if any(s.boundary_right >= len(ids) for s in slots):
                 raise ValueError("slot boundary past the end of input_ids")
-            return TirExample(obj["doc_id"], ids, slots)
+            return TirExample(doc_id, ids, slots)
         dtp = obj.get("dtp_label")
         if dtp is not None:
             _ints([dtp])
-        return PretrainExample(obj["doc_id"], ids, _ints(obj["mlm_labels"]),
-                               dtp_label=dtp)
+        return PretrainExample(doc_id, ids, _ints(obj["mlm_labels"]), dtp_label=dtp)
     except KeyError as exc:
         raise ValueError(f"missing key {exc}") from None
     except (IndexError, TypeError) as exc:
@@ -595,7 +600,6 @@ def example_provider(
     space: Optional[LabelSpace],
     masking: Masking = Masking(),
     seed: int = 0,
-    lowercase: bool = False,
     max_len: Optional[int] = None,
 ) -> Callable[[int], list[PretrainExample | TirExample]]:
     """Per-epoch example builder over a tagged corpus.
@@ -616,16 +620,13 @@ def example_provider(
                 labels[i] = dtp_label(doc.timestamp, space)
             except OutOfLabelSpace as exc:
                 raise OutOfLabelSpace(f"doc {doc.id}: {exc}") from None
-    tokdocs = [
-        tokenize(doc, vocab, exprs, lowercase=lowercase, max_len=max_len)
-        for doc, exprs in tagged
-    ]
+    tokdocs = [tokenize(doc, vocab, exprs, max_len=max_len) for doc, exprs in tagged]
     pool = (collect_expression_pool(tagged)
             if Objective.TIR in objectives else None)
     masked_objectives = objectives & {Objective.MLM, Objective.TAMLM, Objective.DTP}
     kinds = (["mask"] if masked_objectives else []) + (
         ["tir"] if Objective.TIR in objectives else [])
-    encoded = _encodings(vocab, lowercase)
+    encoded = _encodings(vocab)
 
     def build(epoch: int) -> list[PretrainExample | TirExample]:
         out: list[PretrainExample | TirExample] = []
@@ -642,8 +643,7 @@ def example_provider(
             if Objective.TIR in objectives:
                 out.append(build_tir(
                     doc, tokdoc, pool, masking.replace_prob, vocab, seed, epoch,
-                    lowercase=lowercase, max_len=max_len,
-                    rng=next(rngs), encoded=encoded,
+                    max_len=max_len, rng=next(rngs), encoded=encoded,
                 ))
         return out
 

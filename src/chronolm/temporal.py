@@ -448,18 +448,10 @@ def _spans(text: str) -> list[tuple[int, int, _Rule, re.Match]]:
 
 
 def recognize(text: str) -> list[TemporalExpression]:
-    """Find temporal expression spans in text.
-
-    Overlapping candidates resolve to the longest, so "March 5, 1999" wins
-    over its inner bare year.  Returned expressions carry no normalized
-    value; resolvable marks spans a normalization rule can handle.
-    """
-    out = []
-    for start, end, rule, m in _spans(text):
-        resolvable = (rule.resolver is not None
-                      and rule.resolver(m, _PROBE_ANCHOR) is not None)
-        out.append(TemporalExpression(start, end, text[start:end], None, resolvable))
-    return out
+    """The spans annotate finds in text, without normalized values;
+    resolvable marks spans a normalization rule can handle."""
+    return [TemporalExpression(e.start, e.end, e.surface, None, e.resolvable)
+            for e in annotate(text, _PROBE_ANCHOR)]
 
 
 def normalize(expr: TemporalExpression, anchor: TimePoint) -> TimePoint:

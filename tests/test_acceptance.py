@@ -435,7 +435,7 @@ def test_criterion_09_probe_mrr(capsys):
     vocab = build_vocab(vocab_docs, max_size=4096)
     cfg = small_model(vocab.size)
     base = EncoderCheckpoint.fresh(cfg, vocab)
-    records = prepare_labeled(train_events, space, vocab, False, cfg.max_len)
+    records = prepare_labeled(train_events, space, vocab, cfg.max_len)
     train_cfg = TrainConfig(epochs=12, objectives=frozenset(), **SMALL_TRAIN)
     tuned, _ = finetune(base, records, space.size, train_cfg, seed=4)
     queries = [

@@ -181,6 +181,7 @@ BAD_DATASETS = {
     "mlm-range": (_edit_masked(
         lambda r: r["mlm_labels"].__setitem__(1, 10 ** 6)), "mlm label"),
     "slot-range": (_edit_slots, "slot"),
+    "doc-id-not-string": (_edit_masked(lambda r: r.update(doc_id=7)), "doc_id"),
     "not-json": (None, "invalid JSON"),
 }
 
@@ -526,6 +527,21 @@ def test_probe(workdir, encoder):
     assert [int(r["rank"]) for r in rows] == [1, 2, 3, 4, 5]
 
 
+def test_probe_rejects_a_cased_vocabulary_under_lowercase(workdir, encoder, tmp_path,
+                                                         capsys):
+    # Read with lowercase on, a vocabulary built without it would encode
+    # every cased word ("March") as [UNK], so every candidate would tie.
+    (tmp_path / "lower.cfg").write_text(YEAR_CONFIG + "\n[tokenizer]\nlowercase = true\n")
+    rc = run("probe", "--config", tmp_path / "lower.cfg",
+             "--checkpoint", encoder,
+             "--vocab", workdir / "vocab.txt",
+             "--query", "the treaty of 1992",
+             "--out", tmp_path / "probe.csv")
+    assert_one_error_line(rc, capsys, f"{workdir / 'vocab.txt'}: token ", "is cased",
+                          "[tokenizer] lowercase")
+    assert not (tmp_path / "probe.csv").exists()
+
+
 def test_probe_rejects_bad_checkpoints(workdir, encoder, capsys):
     header, _, body = encoder.read_bytes().partition(b"\n")
     edited = json.loads(header)
@@ -566,12 +582,22 @@ def tiny_inputs(tmp_path_factory):
     return root
 
 
+def _exits_cleanly(*argv) -> None:
+    """Run argv: exit 0, or exit 1 with one error line; an exception
+    escaping main (a traceback from the command) fails."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = run(*argv)
+    if rc != 0:
+        lines = err.getvalue().splitlines()
+        assert rc == 1 and len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
 @given(cut=st.none() | st.integers(min_value=0),
        flips=st.lists(st.integers(min_value=0), max_size=3))
 @settings(max_examples=100, deadline=None)
 def test_probe_exits_cleanly_on_damaged_checkpoints(tiny_inputs, cut, flips):
-    # Bit flips anywhere (header or tensors), then perhaps a cut: exit 0, or
-    # exit 1 with one error line; an exception escaping main fails.
+    # Bit flips anywhere (header or tensors), then perhaps a cut.
     root = tiny_inputs
     data = bytearray((root / "enc.ckpt").read_bytes())
     for bit in flips:
@@ -579,14 +605,9 @@ def test_probe_exits_cleanly_on_damaged_checkpoints(tiny_inputs, cut, flips):
     if cut is not None:
         data = data[:cut % (len(data) + 1)]
     (root / "damaged.ckpt").write_bytes(data)
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        rc = run("probe", "--config", root / "year.cfg",
-                 "--checkpoint", root / "damaged.ckpt", "--vocab", root / "vocab.txt",
-                 "--query", "the treaty of 1992", "--out", root / "probe.csv")
-    if rc != 0:
-        lines = err.getvalue().splitlines()
-        assert rc == 1 and len(lines) == 1 and lines[0].startswith("error: "), lines
+    _exits_cleanly("probe", "--config", root / "year.cfg",
+                   "--checkpoint", root / "damaged.ckpt", "--vocab", root / "vocab.txt",
+                   "--query", "the treaty of 1992", "--out", root / "probe.csv")
 
 
 def test_baseline(workdir, events):
@@ -662,6 +683,20 @@ def test_ablate_minimal(workdir, encoder, events):
     assert rc == 0
     rows = read_csv(workdir / "ablation.csv")
     assert {r["configuration"] for r in rows} == {"mlm", "tamlm+dtp"}
+
+
+@pytest.mark.parametrize("given, missing", [("--eval-start", "--eval-end"),
+                                            ("--eval-end", "--eval-start")])
+def test_ablate_eval_bounds_go_together(workdir, encoder, events, tmp_path, capsys,
+                                        given, missing):
+    rc = run("ablate", "--config", workdir / "run.cfg",
+             "--tagged", workdir / "tagged.jsonl",
+             "--vocab", workdir / "vocab.txt",
+             "--eval-train", workdir / "events.jsonl",
+             "--eval-test", workdir / "events.jsonl",
+             given, 1994, "--eval-granularity", "year",
+             "--out", tmp_path / "ablation.csv")
+    assert_one_error_line(rc, capsys, f"missing {missing}:")
 
 
 def test_ablate_bad_combinations(workdir, encoder, events, tmp_path, capsys):
@@ -807,6 +842,22 @@ _FUZZ_STAMPS = ("0001-01-01", "0001-01-01", "0001-01-07", "9999-12-31", "9999-12
 _WRONG_TYPES = (1, 1.5, True, None, [], {}, ["1990-01-01"])
 
 
+def _mutated(draw, record: dict) -> str:
+    """record as one JSON line, perhaps cut, with a value of the wrong type,
+    or missing a field."""
+    change = draw(st.sampled_from(("none", "none", "cut", "type", "drop")))
+    if change in ("type", "drop"):
+        key = draw(st.sampled_from(sorted(record)))
+        if change == "type":
+            record[key] = draw(st.sampled_from(_WRONG_TYPES))
+        else:
+            del record[key]
+    line = json.dumps(record)
+    if change == "cut":
+        line = line[:draw(st.integers(0, len(line) - 1))]
+    return line
+
+
 @st.composite
 def corpus_files(draw):
     """Corpus JSONL whose lines may be cut, mistyped or missing a field."""
@@ -914,32 +965,111 @@ def labeled_files(draw):
             record["doc_timestamp"] = draw(st.sampled_from(_FUZZ_TIMES))
         if draw(st.booleans()):
             record["doc_text"] = draw(st.sampled_from(_FUZZ_TEXTS))
-        change = draw(st.sampled_from(("none", "none", "cut", "type", "drop")))
-        if change in ("type", "drop"):
-            key = draw(st.sampled_from(sorted(record)))
-            if change == "type":
-                record[key] = draw(st.sampled_from(_WRONG_TYPES))
-            else:
-                del record[key]
-        line = json.dumps(record)
-        if change == "cut":
-            line = line[:draw(st.integers(0, len(line) - 1))]
-        lines.append(line)
+        lines.append(_mutated(draw, record))
     return "\n".join(lines) + "\n"
 
 
 @given(text=labeled_files())
 @settings(max_examples=100, deadline=None)
 def test_eval_exits_cleanly_on_fuzzed_labeled_data(tiny_inputs, text):
-    # Exit 0, or exit 1 with one error line; an exception escaping main
-    # (a traceback from the command) fails.
     root = tiny_inputs
     (root / "events.jsonl").write_text(text, encoding="utf-8")
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        rc = run("eval", "--config", root / "year.cfg", "--checkpoint", root / "tuned.ckpt",
-                 "--data", root / "events.jsonl", "--vocab", root / "vocab.txt",
-                 "--out", root / "results.csv")
-    if rc != 0:
-        lines = err.getvalue().splitlines()
-        assert rc == 1 and len(lines) == 1 and lines[0].startswith("error: "), lines
+    _exits_cleanly("eval", "--config", root / "year.cfg", "--checkpoint", root / "tuned.ckpt",
+                   "--data", root / "events.jsonl", "--vocab", root / "vocab.txt",
+                   "--out", root / "results.csv")
+
+
+# ------------------------- prediction, tagged and dataset JSONL under fuzz
+
+
+@given(lines=st.lists(st.fixed_dictionaries({"predicted": st.sampled_from(_FUZZ_TIMES),
+                                             "gold": st.sampled_from(_FUZZ_TIMES)}),
+                      min_size=1, max_size=3),
+       granularities=st.sampled_from(("", "year", "month", "day", "day,year", "week", ",")),
+       data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_eval_exits_cleanly_on_fuzzed_predictions(tiny_inputs, lines, granularities,
+                                                  data):
+    root = tiny_inputs
+    text = "".join(_mutated(data.draw, record) + "\n" for record in lines)
+    (root / "preds.jsonl").write_text(text, encoding="utf-8")
+    _exits_cleanly("eval", "--predictions", root / "preds.jsonl",
+                   "--granularities", granularities, "--out", root / "results.csv")
+
+
+# Values an expression field may take: offsets inside and outside the text,
+# time strings that do and do not parse, and other JSON types.
+_FUZZ_EXPRESSION_VALUES = (-1, 0, 3, 4, 13, 14, 34, 35, 99, "1990", "1992-13", "",
+                           "March 1990", "month", *_WRONG_TYPES)
+
+
+@st.composite
+def tagged_files(draw):
+    """Tagged JSONL whose expressions may hold odd values, and whose lines
+    may be cut, mistyped or missing a field."""
+    lines = []
+    for i in range(draw(st.integers(1, 3))):
+        expressions = [
+            {"start": 3, "end": 13, "surface": "March 1990", "normalized": "1990-03",
+             "granularity": "month"},
+            {"start": 30, "end": 34, "surface": "1992", "normalized": "1992",
+             "granularity": "year"},
+        ]
+        for e in expressions:
+            if draw(st.booleans()):
+                e[draw(st.sampled_from(sorted(e)))] = draw(
+                    st.sampled_from(_FUZZ_EXPRESSION_VALUES))
+        record = {"id": f"d{i}", "text": "in March 1990 , the treaty of 1992 .",
+                  "timestamp": draw(st.sampled_from(("1990-01-05", "1994-12-31",
+                                                     "1995-01-01", "1990-13-01"))),
+                  "expressions": expressions}
+        lines.append(_mutated(draw, record))
+    return "\n".join(lines) + "\n"
+
+
+@given(text=tagged_files())
+@settings(max_examples=100, deadline=None)
+def test_build_dataset_exits_cleanly_on_fuzzed_tagged_data(tiny_inputs, text):
+    root = tiny_inputs
+    (root / "tagged.jsonl").write_text(text, encoding="utf-8")
+    _exits_cleanly("build-dataset", "--config", root / "year.cfg",
+                   "--tagged", root / "tagged.jsonl", "--vocab", root / "vocab.txt",
+                   "--objectives", "tamlm,dtp,tir", "--out", root / "dataset.jsonl")
+
+
+# A masked example and a tir example over tiny_inputs' vocabulary, and values
+# their fields may take instead: ids and labels in and out of range, sequences
+# too long for max_len 16, slots that do and do not fit.
+_DATASET_LINES = (
+    {"doc_id": "d0", "input_ids": [2, 5, 6, 7, 8, 3],
+     "mlm_labels": [-100, -100, 6, -100, -100, -100], "dtp_label": 2},
+    {"doc_id": "d1", "input_ids": [2, 8, 3, 5, 6, 7, 10, 3], "slots": [[5, 7, 1]]},
+)
+_FUZZ_DATASET_VALUES = (
+    "d2", "", 0, 4, 5, -1, 11, [], [2, 3], [2, 11, 3], [2, -1, 3], [2] + [5] * 20 + [3],
+    [-100, -100, -100], [[1, 2, 0]], [[0, 1, 0]], [[5, 8, 1]], [[5, 7, 2]], [[5, 7]],
+    *_WRONG_TYPES,
+)
+
+
+@given(records=st.lists(st.sampled_from(_DATASET_LINES), min_size=1, max_size=3),
+       learning_rate=st.sampled_from(("1e-3", "1e30")), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_pretrain_exits_cleanly_on_fuzzed_datasets(tiny_inputs, records, learning_rate,
+                                                  data):
+    root = tiny_inputs
+    lines = []
+    for record in records:
+        record = json.loads(json.dumps(record))
+        if data.draw(st.booleans()):
+            record[data.draw(st.sampled_from(sorted(record)))] = data.draw(
+                st.sampled_from(_FUZZ_DATASET_VALUES))
+        lines.append(_mutated(data.draw, record))
+    (root / "dataset.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (root / "train.cfg").write_text(
+        YEAR_CONFIG + "\n[model]\nd_model = 8\nn_layers = 1\nn_heads = 2\nd_ff = 16\n"
+        "max_len = 16\n[train]\nepochs = 2\nbatch_size = 2\n"
+        f"learning_rate = {learning_rate}\n")
+    _exits_cleanly("pretrain", "--config", root / "train.cfg",
+                   "--dataset", root / "dataset.jsonl", "--vocab", root / "vocab.txt",
+                   "--objectives", "tamlm,dtp,tir", "--out", root / "pretrained.ckpt")

@@ -1,6 +1,7 @@
 """Document loading, vocabulary, tokenization, expression alignment."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -90,6 +91,37 @@ def test_vocab_save_load_and_hash(tmp_path):
     assert loaded.content_hash() == v.content_hash()
     other = make_vocab(["alpha", "gamma"])
     assert other.content_hash() != v.content_hash()
+
+
+def test_vocab_carries_its_case_rule(tmp_path):
+    v = make_vocab(["filed", "in"])
+    assert v.encode("Filed IN") == [UNK, UNK]
+    lowered = Vocab(v.tokens, lowercase=True)
+    assert lowered.encode("Filed IN") == [5, 6]
+    path = tmp_path / "vocab.txt"
+    v.save(str(path))
+    assert Vocab.load(str(path), lowercase=True).encode("Filed IN") == [5, 6]
+    docs = [Document("a", TimePoint(2000, 1, 1), "Filed IN March")]
+    assert build_vocab(docs, max_size=20, lowercase=True).lowercase
+
+
+def test_lowercase_vocab_rejects_cased_tokens(tmp_path):
+    cased = SPECIAL_TOKENS + ("march", "March")
+    Vocab(cased)  # without the rule, a cased token is fine
+    with pytest.raises(ValueError, match="token 'March' is cased"):
+        Vocab(cased, lowercase=True)
+    path = tmp_path / "vocab.txt"
+    path.write_text("\n".join(cased) + "\n")
+    needle = re.escape(f"{path}: token 'March' is cased, but")
+    with pytest.raises(MalformedRecord, match=needle):
+        Vocab.load(str(path), lowercase=True)
+
+
+def test_lower_is_idempotent_on_every_code_point():
+    # So every token build_vocab makes under lowercase passes the cased check.
+    for c in map(chr, range(0x110000)):
+        low = c.lower()
+        assert low.lower() == low, hex(ord(c))
 
 
 def test_build_vocab_frequency_then_lexical_order():

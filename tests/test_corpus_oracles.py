@@ -54,10 +54,13 @@ def test_word_forms_fold_non_ascii_per_form():
 @st.composite
 def tokenize_cases(draw):
     text = draw(texts)
+    lowercase = draw(st.booleans())
     spans = oracles.word_spans(text)
-    forms = [f for f, _, _ in spans]
+    # A vocabulary read under lowercase holds no cased token.
+    forms = [f for f, _, _ in oracles.word_spans(text, lowercase)]
     known = draw(st.lists(st.sampled_from(forms), unique=True)) if forms else []
-    vocab = Vocab(SPECIAL_TOKENS + tuple(f for f in known if f not in SPECIAL_TOKENS))
+    vocab = Vocab(SPECIAL_TOKENS + tuple(f for f in known if f not in SPECIAL_TOKENS),
+                  lowercase)
     exprs = []
     for _ in range(draw(st.integers(0, 4))):
         if spans and draw(st.booleans()):
@@ -73,16 +76,15 @@ def tokenize_cases(draw):
         exprs.append(TemporalExpression(start, end, text[start:end], normalized,
                                         normalized is not None or draw(st.booleans())))
     max_len = draw(st.one_of(st.none(), st.integers(0, 12)))
-    lowercase = draw(st.booleans())
-    return Document("d1", TimePoint(2000, 1, 1), text), vocab, exprs, lowercase, max_len
+    return Document("d1", TimePoint(2000, 1, 1), text), vocab, exprs, max_len
 
 
-def _oracle_tokenize(doc, vocab, exprs, lowercase=False, max_len=None):
+def _oracle_tokenize(doc, vocab, exprs, max_len=None):
     ids = {t: i for i, t in enumerate(vocab.tokens)}
     plain = [(e.start, e.end, e.resolvable, e.normalized) for e in exprs]
     try:
         token_ids, _, groups = oracles.tokenize(
-            doc.id, doc.text, ids, UNK, plain, lowercase, max_len)
+            doc.id, doc.text, ids, UNK, plain, vocab.lowercase, max_len)
     except oracles.AlignmentError as exc:
         raise AlignmentError(str(exc)) from None
     return TokenizedDoc(doc.id, token_ids, tuple(TemporalGroup(*g) for g in groups))
@@ -98,9 +100,9 @@ def _outcome(fn, *args):
 @given(tokenize_cases())
 @settings(max_examples=400, deadline=None)
 def test_tokenize_matches_the_oracle(case):
-    doc, vocab, exprs, lowercase, max_len = case
-    assert (_outcome(tokenize, doc, vocab, exprs, lowercase, max_len)
-            == _outcome(_oracle_tokenize, doc, vocab, exprs, lowercase, max_len))
+    doc, vocab, exprs, max_len = case
+    assert (_outcome(tokenize, doc, vocab, exprs, max_len)
+            == _outcome(_oracle_tokenize, doc, vocab, exprs, max_len))
 
 
 def test_tokenize_matches_the_oracle_on_each_error_and_cut():
@@ -119,8 +121,8 @@ def test_tokenize_matches_the_oracle_on_each_error_and_cut():
     }
     for name, exprs in cases.items():
         for max_len in (None, 2, 5, 7):
-            got = _outcome(tokenize, doc, vocab, exprs, False, max_len)
-            assert got == _outcome(_oracle_tokenize, doc, vocab, exprs, False, max_len), name
+            got = _outcome(tokenize, doc, vocab, exprs, max_len)
+            assert got == _outcome(_oracle_tokenize, doc, vocab, exprs, max_len), name
     assert _outcome(tokenize, doc, vocab, cases["misaligned"])[0] is AlignmentError
     assert _outcome(tokenize, doc, vocab, cases["out of text"])[0] is AlignmentError
     assert len(tokenize(doc, vocab, cases["overlapping"]).temporal_groups) == 1
@@ -158,11 +160,11 @@ def _oracle_build_vocab(docs, max_size, min_freq=1, lowercase=False,
     texts_seen = [f"{render(d.timestamp)} {d.text}" if include_timestamps else d.text
                   for d in docs]
     return Vocab(oracles.vocab_tokens(texts_seen, SPECIAL_TOKENS, max_size, min_freq,
-                                      lowercase))
+                                      lowercase), lowercase)
 
 
-def _oracle_encode(self, text, lowercase=False):
-    return [self.id_of(form) for form, _, _ in oracles.word_spans(text, lowercase)]
+def _oracle_encode(self, text):
+    return [self.id_of(form) for form, _, _ in oracles.word_spans(text, self.lowercase)]
 
 
 def _chain(root, lowercase):

@@ -227,8 +227,8 @@ def test_similarity_rank_puts_zero_vectors_last(monkeypatch):
     zeroed = TimePoint(1991)
     real = evaluation.probe_representation
 
-    def probe(checkpoint, text, lowercase=False):
-        vec = real(checkpoint, text, lowercase)
+    def probe(checkpoint, text):
+        vec = real(checkpoint, text)
         return np.zeros_like(vec) if text == "1991" else vec
 
     monkeypatch.setattr(evaluation, "probe_representation", probe)

@@ -959,7 +959,7 @@ def test_prepare_labeled_truncates_to_space_granularity():
     vocab = Vocab(SPECIAL_TOKENS + ("treaty", "of", "1994", "the"))
     space = build_labelspace(TimePoint(1990), TimePoint(1999), Granularity.YEAR)
     ex = LabeledExample("the treaty of 1994", TimePoint(1994, 6, 2))
-    (ids, label), = prepare_labeled([ex], space, vocab, False, 16)
+    (ids, label), = prepare_labeled([ex], space, vocab, 16)
     assert label == 4
     assert ids[0] == CLS and ids[-1] == SEP
 

@@ -205,20 +205,17 @@ def _plain(example):
             example.forced_kept)
 
 
-def _oracle_epoch(tagged, vocab, objectives, space, seed, epoch, lowercase, max_len):
+def _oracle_epoch(tagged, vocab, objectives, space, seed, epoch, max_len):
     masking = ("tamlm" if Objective.TAMLM in objectives
                else "mlm" if Objective.MLM in objectives else None)
     pool = collect_expression_pool(tagged)
-
-    def encode(text):
-        return vocab.encode(text, lowercase)
 
     def pool_entries(value):
         return [(e.surface, e.value) for e in pool.for_granularity(value.granularity)]
 
     out = []
     for doc, exprs in tagged:
-        tokdoc = tokenize(doc, vocab, exprs, lowercase=lowercase, max_len=max_len)
+        tokdoc = tokenize(doc, vocab, exprs, max_len=max_len)
         groups = _plain_groups(tokdoc)
         if objectives - {Objective.TIR}:
             label = (dtp_label(doc.timestamp, space)
@@ -228,8 +225,8 @@ def _oracle_epoch(tagged, vocab, objectives, space, seed, epoch, lowercase, max_
                 vocab.size, seed, epoch))
         if Objective.TIR in objectives:
             out.append(oracles.build_tir(
-                doc.id, encode(render(doc.timestamp)), tokdoc.token_ids, groups,
-                pool_entries, 0.5, encode, seed, epoch, max_len))
+                doc.id, vocab.encode(render(doc.timestamp)), tokdoc.token_ids, groups,
+                pool_entries, 0.5, vocab.encode, seed, epoch, max_len))
     return out
 
 
@@ -249,11 +246,11 @@ def test_provider_epochs_match_per_document_builders(objectives):
                             include_timestamps=True)
         for seed in (0, 7, 2**40 + 3):
             build = example_provider(corpus, vocab, objectives, space, seed=seed,
-                                     lowercase=lowercase, max_len=max_len)
+                                     max_len=max_len)
             for epoch in (0, 1, 2):
                 examples = build(epoch)
                 want = _oracle_epoch(corpus, vocab, objectives, space, seed,
-                                     epoch, lowercase, max_len)
+                                     epoch, max_len)
                 assert [_plain(e) for e in examples] == want, (
                     lowercase, max_len, seed, epoch)
                 seen["examples"] += len(examples)
